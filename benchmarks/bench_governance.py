@@ -118,7 +118,7 @@ def test_fault_free_governance_overhead():
         governed_time = min(governed_time, elapsed)
     assert bare_count == governed_count == ROWS
 
-    books = governed_engine.governor.snapshot()
+    books = governed_engine.governance()
     assert books["cancellations"] == books["budget_rejections"] == 0
     assert books["spills"] == 0
 
@@ -173,7 +173,7 @@ def test_spill_vs_in_memory_throughput():
     # Degradation is invisible in the values: identical distinct counts.
     assert memory_count == spill_count == DISTINCT
 
-    books = spill_engine.governor.snapshot()
+    books = spill_engine.governance()
     assert books["spills"] > 0 and books["bytes_spilled"] > 0
 
     slowdown = spill_time / memory_time

@@ -117,7 +117,7 @@ def test_concurrent_sessions_overlap_io(capsys):
         concurrent["throughput_qps"] = round(total / concurrent_elapsed, 1)
 
     # stop() has joined the serving threads: the books are final here.
-    stats = server.stats.snapshot()
+    stats = server.stats()
     scaling = concurrent["throughput_qps"] / single["throughput_qps"]
     update_summary("BENCH_server.json", "single_client", single)
     update_summary("BENCH_server.json", "concurrent", {
@@ -171,7 +171,7 @@ def test_admission_sheds_load_without_breaking(capsys):
         # After the storm the server still answers correctly.
         with KleisliClient(server.address) as client:
             assert sorted(client.query(QUERY)) == [1, 2, 3, 4, 5, 6]
-        rejections = server.stats.rejections
+        rejections = server.stats()["rejections"]
 
     update_summary("BENCH_server.json", "admission", {
         "policy": "reject", "slots": 1, "hammer_threads": 4,

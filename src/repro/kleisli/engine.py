@@ -15,6 +15,10 @@ remote and local data sources."  The engine is that middle layer:
   (:meth:`KleisliEngine.plan_for`; zero knowledge reproduces the historical
   defaults exactly);
 * the **evaluator context** — subquery cache, execution statistics;
+* the **metrics registry** (``engine.metrics``) — the one always-on place
+  engine-wide counts are kept: driver requests per driver, resilience
+  events, governance outcomes, and the query service's admissions and
+  sessions; :meth:`KleisliEngine.health` is a view over it;
 * ``execute`` / ``stream`` — eager evaluation and the pipelined variant that
   yields results as the outermost generator produces them (fast first
   response).
@@ -64,22 +68,28 @@ from ..core.planner import (
 )
 from ..core.values import CBag, CList, CSet, iter_collection
 from ..obs import Observability
-from ..obs.metrics import RowWidthEstimator
+from ..obs.metrics import (LATENCY_BUCKETS, SPILL_BUCKETS, MetricsRegistry,
+                           RowWidthEstimator)
 from ..obs.profile import ProbeTee, QueryProfile, StageCollector, aggregate_driver_spans
 from ..obs.trace import QueryTrace
 from .cache import SubqueryCache
 from .drivers.base import Driver, DriverFunction
-from .governance import (
-    NOMINAL_ROW_BYTES,
-    CancellationToken,
-    MemoryBudget,
-    QueryGovernor,
-)
+from .governance import NOMINAL_ROW_BYTES, CancellationToken, MemoryBudget
 from .resilience import CircuitBreaker, CircuitBreakerPolicy, ResilienceLayer, RetryPolicy
 from .spill import SpillManager
 from .statistics import SourceStatisticsRegistry
 
 __all__ = ["KleisliEngine", "ExecutionMode"]
+
+#: The governance counters ``repro_<key>_total``, by book key.
+_GOVERNANCE_COUNTERS = {
+    "cancellations": "Queries ended by cancellation",
+    "spills": "Spill events across governed queries",
+    "rows_spilled": "Rows spilled to disk",
+    "budget_rejections": "Queries killed by memory budget",
+    "watchdog_kills": "Queries a server watchdog cancelled",
+    "spill_fallbacks": "Unpicklable values spill backends kept in memory",
+}
 
 #: How many lowered queries (eager + streaming together) the engine keeps;
 #: the least recently used entry is evicted when the cache is full.
@@ -184,23 +194,45 @@ class KleisliEngine:
         #: time) lowering by default; per-call override via
         #: ``stream(..., chunked=...)``.
         self.stream_chunking = stream_chunking
+        #: The engine's metrics registry, always on: the only place
+        #: engine-wide counts are kept.  The resilience layer and the query
+        #: service register their instruments here too; :meth:`health`, the
+        #: server's ``stats`` sections and its ``metrics`` op read it.
+        self.metrics = MetricsRegistry()
+        m = self.metrics
+        self._queries = m.counter("repro_queries_total", "Engine runs started")
+        self._driver_requests = m.counter(
+            "repro_driver_requests_total", "Driver requests dispatched",
+            ("driver",))
+        self._driver_failures = m.counter(
+            "repro_driver_failures_total", "Driver requests that raised",
+            ("driver",))
+        self._request_seconds = m.histogram(
+            "repro_driver_request_seconds", LATENCY_BUCKETS,
+            "Wall time of one driver round trip (a native batch is one)",
+            ("driver",))
+        self._governance = {key: m.counter(f"repro_{key}_total", help)
+                            for key, help in _GOVERNANCE_COUNTERS.items()}
+        self._spilled_bytes = m.histogram(
+            "repro_query_spilled_bytes", SPILL_BUCKETS,
+            "Bytes spilled to disk per governed query")
         #: The driver resilience layer (retries, breakers, deadlines,
         #: mid-stream recovery).  Default-off: a driver with no configured
         #: policy dispatches exactly as before, so zero-fault runs are
         #: bit-for-bit unchanged.  Configure via :meth:`configure_resilience`.
         self.resilience = ResilienceLayer()
+        self.resilience.bind_metrics(m)
         self.resilience.on_breaker_event = self._note_breaker_event
-        self.resilience.on_retry = self._note_retry_event
-        #: The governance ledger (cancellations, spills, budget rejections,
-        #: watchdog kills) plus the optional engine-wide memory pool that
-        #: per-query budgets parent into.  With no ``memory_pool_limit`` and
-        #: no per-run governance arguments, every run takes exactly the
-        #: ungoverned code paths (the zero-governance contract).
-        self.governor = QueryGovernor(memory_pool_limit)
-        #: The observability hub (metrics + tracer + slow-query log), or
-        #: ``None`` — the zero-recorder contract: with no hub attached and
-        #: ``profile=False``, every run takes the exact pre-observability
-        #: code paths.  Attach via :meth:`attach_observability`.
+        #: The optional engine-wide memory pool per-query budgets parent
+        #: into.  With no ``memory_pool_limit`` and no per-run governance
+        #: arguments, every run takes exactly the ungoverned code paths (the
+        #: zero-governance contract).
+        self.memory_pool: Optional[MemoryBudget] = (
+            MemoryBudget(memory_pool_limit, label="engine")
+            if memory_pool_limit is not None else None)
+        #: The observability hub (tracer + slow-query log), or ``None``:
+        #: with no hub attached and ``profile=False``, no run is traced or
+        #: profiled.  Attach via :meth:`attach_observability`.
         self.observability: Optional[Observability] = None
         #: The sampled row-width model feeding the governance spill gate.
         #: Fed from spill bookkeeping (bytes *and* rows per spilled frame);
@@ -414,32 +446,22 @@ class KleisliEngine:
         An open (or half-open, still-probing) breaker marks the source
         unavailable in the statistics registry, so :meth:`plan_for` stops
         routing batched scans at it; re-closing restores availability.
-        With a hub attached, every transition also bumps the breaker
-        counter.
         """
         self.statistics_registry.set_available(
             driver_name, state == CircuitBreaker.CLOSED)
-        hub = self.observability
-        if hub is not None:
-            hub.note_breaker(driver_name, state)
-
-    def _note_retry_event(self, driver_name: str, attempt: int) -> None:
-        """Resilience retry hook: feed the hub's retry counter, if attached."""
-        hub = self.observability
-        if hub is not None:
-            hub.note_retry(driver_name, attempt)
 
     # -- observability wiring ---------------------------------------------------
 
     def attach_observability(self, hub: Optional[Observability]) -> Optional[Observability]:
         """Attach (or, with ``None``, detach) the observability hub.
 
-        While attached, every run is traced, the standard instruments are
-        fed from the engine/server hook sites, and completed runs are
-        considered for the slow-query log.  Detached (the default), every
-        hook site short-circuits on ``None`` — the zero-recorder contract,
-        differential-pinned by the test suite.
+        While attached, every run is traced, chunked runs feed the hub's
+        chunk-size histogram (registered in :attr:`metrics` here), and
+        completed runs are considered for the slow-query log.  Counting
+        does not depend on a hub: :attr:`metrics` is always on.
         """
+        if hub is not None:
+            hub.register(self.metrics)
         self.observability = hub
         return hub
 
@@ -447,7 +469,7 @@ class KleisliEngine:
         """The run's trace: hub-recorded, profile-only, or ``None`` (off)."""
         hub = self.observability
         if hub is not None:
-            return hub.start_trace("query")
+            return hub.tracer.start("query")
         if profile:
             return QueryTrace("query")
         return None
@@ -495,22 +517,28 @@ class KleisliEngine:
         demote exactly the driver that most needs request overlap — for the
         same reason, a retried request contributes one sample per
         *successful* attempt, never its failed tries.
+
+        Every attempt, failed or not, is counted in the registry's
+        per-driver request, failure and latency series.
         """
-        driver = self.driver(driver_name)
-        hub = self.observability
         started = time.perf_counter()
         try:
-            result = driver.execute(request)
+            result = self.driver(driver_name).execute(request)
         except Exception:
-            if hub is not None:
-                hub.observe_request(driver_name,
-                                    time.perf_counter() - started, failed=True)
+            self._count_round_trip(driver_name, 1,
+                                   time.perf_counter() - started)
+            self._driver_failures.labels(driver_name).inc()
             raise
         elapsed = time.perf_counter() - started
         self.statistics_registry.record_latency_sample(driver_name, elapsed)
-        if hub is not None:
-            hub.observe_request(driver_name, elapsed)
+        self._count_round_trip(driver_name, 1, elapsed)
         return result
+
+    def _count_round_trip(self, driver_name: str, requests: int,
+                          seconds: float) -> None:
+        """Count one driver round trip that carried ``requests`` requests."""
+        self._driver_requests.labels(driver_name).inc(requests)
+        self._request_seconds.labels(driver_name).observe(seconds)
 
     def driver_executor_batch(self, driver_name: str,
                               requests: Sequence[Mapping[str, object]],
@@ -540,6 +568,11 @@ class KleisliEngine:
         all — a whole-batch cap rejection retries per request).  The
         re-dispatched requests are real per-request round-trips, so their
         EMA samples follow the per-request rule above.
+
+        A successful native batch counts all its requests in the driver's
+        request series and one latency observation; a failed one counts
+        nothing itself, since its requests are counted as they are
+        re-dispatched.
         """
         if context is not None and context.cancellation is not None:
             context.cancellation.raise_if_cancelled()
@@ -561,11 +594,13 @@ class KleisliEngine:
                 trace.end(span, status="error")
             return [self.driver_executor(driver_name, request, context)
                     for request in requests]
+        elapsed = time.perf_counter() - started
         if span is not None:
             trace.end(span)
+        self._count_round_trip(driver_name, len(requests), elapsed)
         if not driver.batch_single_round_trip:
             self.statistics_registry.record_latency_sample(
-                driver_name, (time.perf_counter() - started) / len(requests))
+                driver_name, elapsed / len(requests))
         return results
 
     def health(self) -> Dict[str, object]:
@@ -579,7 +614,8 @@ class KleisliEngine:
         (:meth:`~repro.core.nrc.eval.EvalScope.live_count` — open pipelined
         runs; zero when every cursor has been released).  Per-session state
         (CPL definitions, type environments, ``EvalScope`` contents) never
-        appears here — it dies with the session.
+        appears here — it dies with the session.  The resilience and
+        governance sections are views over :attr:`metrics`.
         """
         from ..core.nrc.eval import EvalScope
 
@@ -614,11 +650,7 @@ class KleisliEngine:
             "persistence": (self.plan_store.books()
                             if self.plan_store is not None
                             else {"attached": False}),
-            # The governance books: cancellations, spills, bytes spilled,
-            # budget rejections, watchdog kills — plus pool usage when an
-            # engine-wide memory pool is configured.  All zeros on an
-            # ungoverned engine.
-            "governance": self.governor.snapshot(),
+            "governance": self.governance(),
             # The observability hub's account (tracer, slow-query log) —
             # ``{"attached": False}`` with no hub — and the sampled
             # row-width model behind the spill gate.
@@ -627,6 +659,25 @@ class KleisliEngine:
                               else {"attached": False}),
             "row_width": self.row_width.snapshot(),
         }
+
+    def governance(self) -> Dict[str, object]:
+        """The governance books, read from :attr:`metrics`.
+
+        Cancellations, spills, bytes and rows spilled, budget rejections and
+        watchdog kills (all zeros on an ungoverned engine), spill fallbacks
+        once there are any, and pool usage when an engine-wide memory pool
+        is configured.
+        """
+        books: Dict[str, object] = {
+            key: counter.value for key, counter in self._governance.items()}
+        books["bytes_spilled"] = self._spilled_bytes.sum
+        if not books["spill_fallbacks"]:
+            del books["spill_fallbacks"]
+        pool = self.memory_pool
+        if pool is not None:
+            books["pool_used_bytes"] = pool.used
+            books["pool_limit_bytes"] = pool.limit
+        return books
 
     def chunk_policy(self) -> ChunkPolicy:
         """The *uninformed* chunk-size policy (historical default knobs).
@@ -675,6 +726,7 @@ class KleisliEngine:
         :meth:`_governed_run`) land on the context's governance hooks; all
         ``None`` reproduces the pre-governance context exactly.
         """
+        self._queries.inc()
         statistics = EvalStatistics()
         self.last_eval_statistics = statistics
         self._thread_statistics.value = statistics
@@ -714,7 +766,7 @@ class KleisliEngine:
         unbounded owned budget, or one unbudgeted query could dodge the cap
         the operator configured.
         """
-        pool = self.governor.pool
+        pool = self.memory_pool
         if memory_budget is None:
             if pool is None:
                 return None, False
@@ -760,30 +812,23 @@ class KleisliEngine:
 
     def _finish_governed(self, budget: Optional[MemoryBudget], owned: bool,
                          spill_manager: Optional[SpillManager]) -> None:
-        """The run finalizer: settle the books, free pool capacity and disk.
+        """The run finalizer: count the spill books, free pool and disk.
 
         Spill books also feed the row-width model (each spilled frame knows
-        its bytes *and* rows) and, with a hub attached, the spill metrics.
+        its bytes *and* rows).
         """
         if spill_manager is not None:
             books = spill_manager.books
-            rows = books.get("rows_spilled", 0)
+            rows, nbytes = books["rows_spilled"], books["bytes_spilled"]
             if rows:
-                self.row_width.observe(books.get("bytes_spilled", 0), rows)
-            hub = self.observability
-            if hub is not None:
-                hub.record_spill_books(books)
-            self.governor.merge(books)
+                self.row_width.observe(nbytes, rows)
+            if nbytes:
+                self._spilled_bytes.observe(nbytes)
+            for key in ("spills", "rows_spilled", "spill_fallbacks"):
+                self._governance[key].inc(books[key])
             spill_manager.close()
         if owned and budget is not None:
             budget.close()
-
-    def _count_governance(self, key: str) -> None:
-        """One governance outcome: engine ledger plus hub counter (if any)."""
-        self.governor.count(key)
-        hub = self.observability
-        if hub is not None:
-            hub.note_governance(key)
 
     def thread_eval_statistics(self) -> Optional[EvalStatistics]:
         """The statistics of the last run *started on this thread*.
@@ -915,10 +960,10 @@ class KleisliEngine:
             return self._execute_observed(expr, bindings, optimize, mode,
                                           context, trace)
         except QueryCancelledError:
-            self._count_governance("cancellations")
+            self._governance["cancellations"].inc()
             raise
         except MemoryBudgetExceededError:
-            self._count_governance("budget_rejections")
+            self._governance["budget_rejections"].inc()
             raise
         finally:
             self._finish_governed(budget, owned, spill_manager)
@@ -1132,7 +1177,7 @@ class KleisliEngine:
                 sinks = [collector]
                 hub = self.observability
                 if hub is not None:
-                    sinks.append(hub.chunk_sink())
+                    sinks.append(hub)
                 context.plan_probe = ProbeTee(context.plan_probe, *sinks)
             inner = self._stream_chunked(expr, bindings, context, fingerprint)
         else:
@@ -1181,8 +1226,8 @@ class KleisliEngine:
 
         The ``finally`` fires on exhaustion, error, *and* early ``close()``
         — whichever way the consumer lets go, pool capacity returns and
-        spill files are deleted.  Typed governance errors are counted in the
-        engine ledger on their way out; a stream closed early *after* its
+        spill files are deleted.  Typed governance errors are counted in
+        :attr:`metrics` on their way out; a stream closed early *after* its
         token was cancelled (the server's ``cancel`` op tears down without
         draining into the error) counts as a cancellation too.
         """
@@ -1191,18 +1236,18 @@ class KleisliEngine:
             yield from inner
         except QueryCancelledError:
             settled = True
-            self._count_governance("cancellations")
+            self._governance["cancellations"].inc()
             raise
         except MemoryBudgetExceededError:
             settled = True
-            self._count_governance("budget_rejections")
+            self._governance["budget_rejections"].inc()
             raise
         else:
             settled = True
         finally:
             if (not settled and cancellation is not None
                     and cancellation.cancelled):
-                self._count_governance("cancellations")
+                self._governance["cancellations"].inc()
             self._finish_governed(budget, owned, spill_manager)
 
     def _stream_chunked(self, expr: A.Expr,

@@ -1,9 +1,9 @@
-"""Query lifecycle governance: cancellation, memory budgets, engine books.
+"""Query lifecycle governance: cancellation and memory budgets.
 
 The server multiplexes many sessions onto ONE shared engine, so a single
 runaway query — a huge blocked-join build side, an unbounded dedup seen-set,
 an eager section over a hot source — can pin memory and CPU for every other
-session.  This module supplies the three primitives the engine threads
+session.  This module supplies the two primitives the engine threads
 through its layers to stop that:
 
 ``CancellationToken``
@@ -24,11 +24,11 @@ through its layers to stop that:
     backend was attached (see :mod:`repro.kleisli.spill`), in which case the
     query degrades to slower-but-correct disk-backed execution.
 
-``QueryGovernor``
-    The engine-wide ledger: cancellations, spills, bytes spilled, budget
-    rejections, watchdog kills — surfaced in ``engine.health()`` and the
-    server ``stats`` op — plus the optional engine-wide memory pool that
-    per-query budgets parent into.
+The engine owns the optional engine-wide pool per-query budgets parent into
+(``engine.memory_pool``) and counts every governance outcome —
+cancellations, spills, bytes and rows spilled, budget rejections, watchdog
+kills — in its metrics registry; the ``governance`` section of
+``engine.health()`` and of the server ``stats`` op reads them from there.
 
 Zero-governance contract: every hook is ``None``-guarded.  A query run with
 no token and no budget takes exactly the pre-governance code paths —
@@ -39,14 +39,13 @@ and PR 8 pinned zero-knowledge.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional
+from typing import Optional
 
 from ..core.errors import MemoryBudgetExceededError, QueryCancelledError
 
 __all__ = [
     "CancellationToken",
     "MemoryBudget",
-    "QueryGovernor",
     "NOMINAL_ROW_BYTES",
 ]
 
@@ -221,49 +220,3 @@ class MemoryBudget:
         cap = "unbounded" if self.limit is None else str(self.limit)
         return (f"MemoryBudget({self.label!r}, used={self.used}, "
                 f"limit={cap})")
-
-
-class QueryGovernor:
-    """The engine's governance ledger plus the optional engine-wide pool.
-
-    One instance per :class:`~repro.kleisli.engine.KleisliEngine`.  Book
-    increments come from everywhere governance acts — the engine's run
-    finalizer (cancellations), the spill manager (spills, bytes_spilled),
-    budget rejections, the server watchdog (watchdog_kills) — and are
-    surfaced as the ``governance`` section of ``engine.health()`` and the
-    server ``stats`` op, so the differential/soak suites can assert the
-    books balance.
-    """
-
-    BOOK_KEYS = ("cancellations", "spills", "bytes_spilled", "rows_spilled",
-                 "budget_rejections", "watchdog_kills")
-
-    __slots__ = ("_lock", "_books", "pool")
-
-    def __init__(self, pool_limit: Optional[int] = None):
-        self._lock = threading.Lock()
-        self._books: Dict[str, int] = {key: 0 for key in self.BOOK_KEYS}
-        #: The engine-wide memory pool per-query budgets parent into; ``None``
-        #: when the engine runs without a pool cap.
-        self.pool: Optional[MemoryBudget] = (
-            MemoryBudget(pool_limit, label="engine")
-            if pool_limit is not None else None)
-
-    def count(self, key: str, amount: int = 1) -> None:
-        with self._lock:
-            self._books[key] = self._books.get(key, 0) + amount
-
-    def merge(self, books: Dict[str, int]) -> None:
-        """Fold a run-local book dict (e.g. a spill manager's) into the ledger."""
-        with self._lock:
-            for key, amount in books.items():
-                if amount:
-                    self._books[key] = self._books.get(key, 0) + amount
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            books = dict(self._books)
-        if self.pool is not None:
-            books["pool_used_bytes"] = self.pool.used
-            books["pool_limit_bytes"] = self.pool.limit
-        return books

@@ -16,9 +16,9 @@ to compiled code:
   ``EvalContext.deadline``;
 * :class:`CircuitBreaker` — the classic three-state machine (closed / open /
   half-open) per driver; trips stop the hammering, a half-open probe decides
-  re-closing, and every state change is published (the engine feeds it to
-  the statistics registry, which the planner consults before routing batched
-  scans at a source);
+  re-closing, and every state change is counted and published (the engine
+  feeds it to the statistics registry, which the planner consults before
+  routing batched scans at a source);
 * :class:`RecoveringStream` — mid-stream cursor recovery: when a lazy scan
   cursor dies mid-chunk, the scan is re-issued and resumed through a
   seen-prefix filter, so a drained recovered run is **bit-identical** to a
@@ -33,7 +33,10 @@ to compiled code:
   truncated.
 
 Fault classification is :func:`repro.core.errors.is_retryable_fault` — see
-the taxonomy table in :mod:`repro.core.errors`.  A driver with no
+the taxonomy table in :mod:`repro.core.errors`.  Every retry, timeout,
+mid-stream fault, recovery and degradation is counted per driver in a
+metrics registry (the engine binds its own); :meth:`ResilienceLayer.snapshot`
+is the per-driver view ``engine.health()`` reports.  A driver with no
 configured policy and no breaker passes straight through: zero-fault runs
 are bit-for-bit unchanged with the layer installed.
 """
@@ -54,6 +57,7 @@ from ..core.errors import (
     is_retryable_fault,
 )
 from ..core.nrc.eval import _CountingStream
+from ..obs.metrics import MetricsRegistry
 
 __all__ = ["RetryPolicy", "CircuitBreakerPolicy", "CircuitBreaker",
            "ResilienceLayer", "RecoveringStream"]
@@ -224,25 +228,6 @@ class CircuitBreaker:
                     "consecutive_failures": self._consecutive_failures}
 
 
-class _DriverCounters:
-    """Lock-guarded per-driver resilience counters (for ``engine.health()``)."""
-
-    FIELDS = ("requests", "retries", "timeouts", "failures",
-              "midstream_faults", "recoveries", "degraded")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counts = {field: 0 for field in self.FIELDS}
-
-    def increment(self, field: str, amount: int = 1) -> None:
-        with self._lock:
-            self._counts[field] += amount
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._counts)
-
-
 class ResilienceLayer:
     """Per-driver retry policies and breakers behind the engine's executors.
 
@@ -251,21 +236,38 @@ class ResilienceLayer:
     fake clock in tests.  ``on_breaker_event(driver, state)`` (settable
     post-construction) is fanned every breaker state change; the engine
     points it at the statistics registry's availability map.
-    ``on_retry(driver, attempt)`` (same shape) fires once per retry before
-    its backoff; the engine points it at the observability hub's retry
-    counter — ``None`` (the default) costs one attribute read per retry.
     """
+
+    #: The per-driver fields of :meth:`snapshot`, in report order.
+    FIELDS = ("requests", "retries", "timeouts", "failures",
+              "midstream_faults", "recoveries", "degraded")
 
     def __init__(self, clock: Callable[[], float] = time.monotonic,
                  sleeper: Callable[[float], None] = time.sleep):
         self.clock = clock
         self.sleeper = sleeper
         self.on_breaker_event: Optional[Callable[[str, str], None]] = None
-        self.on_retry: Optional[Callable[[str, int], None]] = None
         self._lock = threading.Lock()
         self._policies: Dict[str, RetryPolicy] = {}
         self._breakers: Dict[str, CircuitBreaker] = {}
-        self._counters: Dict[str, _DriverCounters] = {}
+        self.bind_metrics(MetricsRegistry())
+
+    def bind_metrics(self, metrics: MetricsRegistry) -> None:
+        """Count into ``metrics`` from now on (the engine binds its own)."""
+        self._events = metrics.counter(
+            "repro_resilience_events_total",
+            "Requests dispatched under a resilience policy, and their "
+            "timeouts, mid-stream faults, recoveries and degradations",
+            ("driver", "event"))
+        self._retries = metrics.counter(
+            "repro_retries_total", "Resilience retry attempts", ("driver",))
+        # Counted where requests are dispatched (the engine's raw execute,
+        # for every driver); read here for the per-driver view.
+        self._failures = metrics.counter("repro_driver_failures_total",
+                                         labels=("driver",))
+        self._transitions = metrics.counter(
+            "repro_breaker_transitions_total", "Circuit-breaker state changes",
+            ("driver", "state"))
 
     # -- configuration -------------------------------------------------------
 
@@ -292,42 +294,41 @@ class ResilienceLayer:
             else:
                 self._breakers.pop(driver, None)
 
-    def policy_for(self, driver: str) -> Optional[RetryPolicy]:
-        with self._lock:
-            return self._policies.get(driver)
-
     def breaker_for(self, driver: str) -> Optional[CircuitBreaker]:
         with self._lock:
             return self._breakers.get(driver)
 
-    def configured(self, driver: str) -> bool:
-        with self._lock:
-            return driver in self._policies or driver in self._breakers
-
     def _breaker_event(self, driver: str, state: str) -> None:
+        self._transitions.labels(driver, state).inc()
         callback = self.on_breaker_event
         if callback is not None:
             callback(driver, state)
 
-    def counters(self, driver: str) -> _DriverCounters:
-        with self._lock:
-            counters = self._counters.get(driver)
-            if counters is None:
-                counters = self._counters[driver] = _DriverCounters()
-            return counters
+    def _count(self, driver: str, event: str) -> None:
+        self._events.labels(driver, event).inc()
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
-        """Per-driver counters + breaker state, for ``engine.health()``."""
+        """Per-driver counts + breaker state, for ``engine.health()``.
+
+        Lists every configured driver and every driver that was ever
+        dispatched under a policy; the counts of the latter are read from
+        the registry.
+        """
         with self._lock:
-            drivers = set(self._counters) | set(self._breakers) \
-                | set(self._policies)
             breakers = dict(self._breakers)
-            counters = dict(self._counters)
+            drivers = set(breakers) | set(self._policies)
+        counts = self._events.values()
+        for event, family in (("retries", self._retries),
+                              ("failures", self._failures)):
+            counts.update({(driver, event): n
+                           for (driver,), n in family.values().items()})
+        active = {driver for driver, event in counts if event == "requests"}
         result: Dict[str, Dict[str, object]] = {}
-        for driver in sorted(drivers):
+        for driver in sorted(drivers | active):
             entry: Dict[str, object] = {}
-            if driver in counters:
-                entry.update(counters[driver].snapshot())
+            if driver in active:
+                entry = {field: counts.get((driver, field), 0)
+                         for field in self.FIELDS}
             breaker = breakers.get(driver)
             entry["breaker"] = breaker.snapshot() if breaker is not None \
                 else None
@@ -351,26 +352,24 @@ class ResilienceLayer:
             breaker = self._breakers.get(driver)
         if policy is None and breaker is None:
             return raw(driver, request)
-        counters = self.counters(driver)
-        counters.increment("requests")
+        self._count(driver, "requests")
         try:
             result = self._attempt(driver, request, raw, policy, breaker,
-                                   counters, context)
+                                   context)
         except Exception as error:  # noqa: BLE001 - classified below
-            degraded = self._maybe_degrade(driver, error, context, counters)
+            degraded = self._maybe_degrade(driver, error, context)
             if degraded is None:
                 raise
             return degraded
         if (policy is not None and policy.recover_midstream
                 and not _is_eager(result)):
             return RecoveringStream(self, driver, request, raw, policy,
-                                    breaker, counters, context, result)
+                                    breaker, context, result)
         return result
 
     def _attempt(self, driver: str, request, raw: Callable,
                  policy: Optional[RetryPolicy],
-                 breaker: Optional[CircuitBreaker],
-                 counters: _DriverCounters, context) -> object:
+                 breaker: Optional[CircuitBreaker], context) -> object:
         """The bounded attempt loop shared by first dispatch and re-issues."""
         max_attempts = policy.max_attempts if policy is not None else 1
         attempt = 0
@@ -385,10 +384,9 @@ class ResilienceLayer:
             except Exception as error:  # noqa: BLE001 - classified below
                 if breaker is not None:
                     breaker.record_failure()
-                counters.increment("failures")
                 if not is_retryable_fault(error) or attempt >= max_attempts:
                     raise
-                self._note_retry(driver, attempt, policy, counters, context)
+                self._note_retry(driver, attempt, policy, context)
                 continue
             if policy is not None and policy.request_timeout is not None:
                 elapsed = self.clock() - started
@@ -396,30 +394,25 @@ class ResilienceLayer:
                     _close_quietly(result)
                     if breaker is not None:
                         breaker.record_failure()
-                    counters.increment("timeouts")
+                    self._count(driver, "timeouts")
                     if attempt >= max_attempts:
                         raise DriverTimeoutError(driver, elapsed,
                                                  policy.request_timeout)
-                    self._note_retry(driver, attempt, policy, counters,
-                                     context)
+                    self._note_retry(driver, attempt, policy, context)
                     continue
             if breaker is not None:
                 breaker.record_success()
             return result
 
     def _note_retry(self, driver: str, attempt: int,
-                    policy: Optional[RetryPolicy],
-                    counters: _DriverCounters, context) -> None:
+                    policy: Optional[RetryPolicy], context) -> None:
         """Account one retry and serve its backoff (deadline-capped)."""
-        counters.increment("retries")
+        self._retries.labels(driver).inc()
         if context is not None:
             context.statistics.retries += 1
             trace = getattr(context, "trace", None)
             if trace is not None:
                 trace.event("retry", driver=driver, attempt=attempt)
-        callback = self.on_retry
-        if callback is not None:
-            callback(driver, attempt)
         if policy is None:
             return
         delay = policy.backoff_for(attempt)
@@ -440,8 +433,7 @@ class ResilienceLayer:
             if now > deadline:
                 raise DeadlineExceededError(driver, overrun=now - deadline)
 
-    def _maybe_degrade(self, driver: str, error: BaseException, context,
-                       counters: _DriverCounters):
+    def _maybe_degrade(self, driver: str, error: BaseException, context):
         """Empty-result degradation, or ``None`` to propagate the error.
 
         Only *unavailability* faults degrade — retryable classes whose
@@ -455,7 +447,7 @@ class ResilienceLayer:
         if not (is_retryable_fault(error)
                 or isinstance(error, CircuitOpenError)):
             return None
-        counters.increment("degraded")
+        self._count(driver, "degraded")
         self.record_degradation(driver, error, context)
         from ..core.values import CList
 
@@ -497,15 +489,13 @@ class RecoveringStream:
 
     def __init__(self, layer: ResilienceLayer, driver: str, request,
                  raw: Callable, policy: RetryPolicy,
-                 breaker: Optional[CircuitBreaker],
-                 counters: _DriverCounters, context, first_result):
+                 breaker: Optional[CircuitBreaker], context, first_result):
         self._layer = layer
         self._driver = driver
         self._request = request
         self._raw = raw
         self._policy = policy
         self._breaker = breaker
-        self._counters = counters
         self._context = context
         self._source = first_result
         self._iterator = iter(first_result)
@@ -554,7 +544,7 @@ class RecoveringStream:
                 continue
             if self._recovering:
                 self._recovering = False
-                self._counters.increment("recoveries")
+                self._layer._count(self._driver, "recoveries")
                 if self._context is not None:
                     self._context.statistics.recovered_faults += 1
             self._consecutive_faults = 0
@@ -585,7 +575,7 @@ class RecoveringStream:
         deadline passed.
         """
         layer = self._layer
-        self._counters.increment("midstream_faults")
+        layer._count(self._driver, "midstream_faults")
         if self._breaker is not None:
             self._breaker.record_failure()
         _close_quietly(self._source)
@@ -595,11 +585,11 @@ class RecoveringStream:
                     or self._consecutive_faults >= self._policy.max_attempts:
                 raise error
             layer._note_retry(self._driver, self._consecutive_faults,
-                              self._policy, self._counters, self._context)
+                              self._policy, self._context)
             self._recovering = True
             result = layer._attempt(self._driver, self._request, self._raw,
                                     self._policy, self._breaker,
-                                    self._counters, self._context)
+                                    self._context)
         except Exception as final:  # noqa: BLE001 - may degrade below
             if self._maybe_degrade_stream(final):
                 return False
@@ -617,7 +607,7 @@ class RecoveringStream:
         if not (is_retryable_fault(error)
                 or isinstance(error, CircuitOpenError)):
             return False
-        self._counters.increment("degraded")
+        self._layer._count(self._driver, "degraded")
         self._layer.record_degradation(self._driver, error, context)
         return True
 
@@ -703,7 +693,7 @@ class _RecoveringCountingStream(_CountingStream):
                 continue
             if stream._recovering:
                 stream._recovering = False
-                stream._counters.increment("recoveries")
+                stream._layer._count(stream._driver, "recoveries")
                 if stream._context is not None:
                     stream._context.statistics.recovered_faults += 1
             stream._consecutive_faults = 0

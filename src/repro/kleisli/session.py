@@ -283,7 +283,7 @@ class Session:
             self.memory_budget = None
             return
         self.memory_budget = MemoryBudget(
-            limit, label="session", parent=self.engine.governor.pool)
+            limit, label="session", parent=self.engine.memory_pool)
 
     def _effective_budget(self, memory_budget):
         """Per-call budget composed with the session quota.

@@ -32,8 +32,8 @@ All three retain unpicklable values in memory (counted in the manager's
 ``spill_fallbacks`` book) — spilling degrades capacity, never correctness.
 Spill files are process-private ``tempfile.TemporaryFile`` handles, deleted
 by the OS on close; :meth:`SpillManager.close` runs in the engine's run
-finalizer, and the manager's books (spills, bytes_spilled) fold into the
-:class:`~repro.kleisli.governance.QueryGovernor` ledger.
+finalizer, which also adds the manager's books (spills, bytes and rows
+spilled, fallbacks) to the engine's metrics registry.
 """
 
 from __future__ import annotations
@@ -347,8 +347,8 @@ class SpillManager:
     Created by the engine when the plan gate decides a run should spill;
     attached as ``context.spill``.  Owns every temp file the run's backends
     open (closed — and thereby deleted — in :meth:`close`, which the
-    engine's run finalizer always reaches) and the run-local books that
-    fold into the engine's :class:`~repro.kleisli.governance.QueryGovernor`.
+    engine's run finalizer always reaches) and the run-local books the
+    finalizer adds to the engine's metrics registry.
     """
 
     #: In-memory elements a backend may hold before touching disk.

@@ -96,7 +96,8 @@ def aggregate_driver_spans(trace_dict: Dict[str, object]) -> Dict[str, Dict[str,
     This is what gives the eager and per-element lowerings their per-stage
     timings: their compiled artifacts report no chunks, but every remote
     round trip still flows through ``driver_executor``, which opens one
-    ``driver`` span per request.
+    ``driver`` span per request.  A native batch is one ``driver-batch``
+    span whose ``requests`` attribute says how many requests it carried.
     """
     totals: Dict[str, Dict[str, float]] = {}
 
@@ -104,7 +105,7 @@ def aggregate_driver_spans(trace_dict: Dict[str, object]) -> Dict[str, Dict[str,
         if node.get("kind") in ("driver", "driver-batch"):
             name = str(node.get("name", ""))
             cell = totals.setdefault(name, {"requests": 0, "seconds": 0.0})
-            cell["requests"] += 1
+            cell["requests"] += node.get("attributes", {}).get("requests", 1)
             duration = node.get("duration")
             if isinstance(duration, (int, float)):
                 cell["seconds"] += duration

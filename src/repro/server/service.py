@@ -7,8 +7,10 @@ map.  This module implements it:
 * :class:`KleisliServer` — a TCP front-end (thread per connection, capped at
   ``max_sessions``) multiplexing CPL sessions onto **one** shared
   :class:`~repro.kleisli.engine.KleisliEngine`;
-* :class:`ServerStats` — lock-guarded service counters (sessions, queries,
-  cursors, rejections) the soak tests assert consistency on;
+* service counters (sessions, queries, cursors, admissions, failures)
+  registered in the shared engine's metrics registry, read back by
+  :meth:`KleisliServer.stats` — the view the soak tests assert consistency
+  on;
 * admission control — a bounded-semaphore pool of in-flight query slots with
   a queue-or-reject policy, surfaced in every response's ``admission`` field
   and, on rejection, as a typed
@@ -32,11 +34,12 @@ from ..kleisli.engine import KleisliEngine
 from ..kleisli.governance import CancellationToken
 from ..kleisli.session import Session
 from ..net.framing import MAX_FRAME_BYTES, encode_frame, recv_message, send_message
+from ..obs.metrics import QUEUE_WAIT_BUCKETS
 from ..views.gateway import ViewGateway
 from ..views.registry import ViewRegistry
 from .wire import encode_value, encode_warnings
 
-__all__ = ["KleisliServer", "ServerStats", "PROTOCOL_VERSION"]
+__all__ = ["KleisliServer", "PROTOCOL_VERSION"]
 
 PROTOCOL_VERSION = 1
 
@@ -48,36 +51,12 @@ MAX_FETCH_BATCH = 1024
 _STATS_BYTE_BUDGET = MAX_FRAME_BYTES // 2
 
 
-class ServerStats:
-    """Lock-guarded counters for the whole service.
-
-    Invariants the concurrency tests assert: once every client has
-    disconnected, ``sessions_opened == sessions_closed`` and
-    ``cursors_opened == cursors_closed`` — a difference is a leaked session
-    thread or a cursor whose admission slot was never returned.
-    """
-
-    FIELDS = ("sessions_opened", "sessions_closed", "sessions_refused",
-              "queries", "rejections", "queued", "failures",
-              "cursors_opened", "cursors_closed")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counts = {field: 0 for field in self.FIELDS}
-
-    def increment(self, field: str, amount: int = 1) -> None:
-        with self._lock:
-            self._counts[field] += amount
-
-    def __getattr__(self, field: str) -> int:
-        if field in ServerStats.FIELDS:
-            with self._lock:
-                return self._counts[field]
-        raise AttributeError(field)
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._counts)
+def _frame_size(message: dict) -> int:
+    """Encoded frame length of a reply (over the hard cap if unencodable)."""
+    try:
+        return len(encode_frame(message))
+    except WireProtocolError:
+        return MAX_FRAME_BYTES + 1
 
 
 class _AdmissionSlot:
@@ -114,10 +93,10 @@ class _Cursor:
     in-flight queries backpressure counts)."""
 
     __slots__ = ("stream", "statistics", "token", "opened_at",
-                 "watchdog_killed", "_slot", "_stats", "_closed",
+                 "watchdog_killed", "_slot", "_closed_count", "_closed",
                  "_released")
 
-    def __init__(self, stream, slot: _AdmissionSlot, stats: ServerStats,
+    def __init__(self, stream, slot: _AdmissionSlot, closed_count,
                  statistics=None, token: Optional[CancellationToken] = None):
         self.stream = stream
         #: The run's ``EvalStatistics`` — captured at open time so fetch
@@ -132,7 +111,8 @@ class _Cursor:
         #: ``watchdog_kills`` book counts each runaway query exactly once.
         self.watchdog_killed = False
         self._slot = slot
-        self._stats = stats
+        #: The ``cursors{event="closed"}`` series this cursor counts into.
+        self._closed_count = closed_count
         self._closed = False
         self._released = False
 
@@ -146,7 +126,7 @@ class _Cursor:
         try:
             self.stream.close()
         finally:
-            self._stats.increment("cursors_closed")
+            self._closed_count.inc()
 
     def release_slot(self) -> None:
         if self._released:
@@ -260,7 +240,34 @@ class KleisliServer:
         #: charge.  ``None`` = unlimited, exactly as before.
         self.session_cursor_quota = session_cursor_quota
         self.session_memory_limit = session_memory_limit
-        self.stats = ServerStats()
+        # The service counters live in the shared engine's registry.
+        m = self.engine.metrics
+        self._sessions = m.counter(
+            "repro_server_sessions_total",
+            "Client sessions opened, closed and refused", ("event",))
+        self._cursors = m.counter(
+            "repro_server_cursors_total", "Server cursors opened and closed",
+            ("event",))
+        self._queries = m.counter(
+            "repro_server_queries_total", "Queries admitted and run")
+        self._failures = m.counter(
+            "repro_server_failures_total", "Requests that failed with an error")
+        self._immediate = m.counter(
+            "repro_server_admissions_immediate_total",
+            "Requests admitted without queueing")
+        self._queued = m.counter(
+            "repro_server_admissions_queued_total",
+            "Requests that waited in the admission queue")
+        self._rejected = m.counter(
+            "repro_server_admissions_rejected_total",
+            "Requests shed by admission control")
+        self._queue_wait = m.histogram(
+            "repro_server_queue_wait_seconds", QUEUE_WAIT_BUCKETS,
+            "Time a request waited in the admission queue")
+        self._drains = m.counter(
+            "repro_server_drains_total", "Server drain (graceful stop) events")
+        # Registered by the engine, which reports it in its governance books.
+        self._watchdog_kills = m.counter("repro_watchdog_kills_total")
         self.address: Optional[Tuple[str, int]] = None
         self._slots = threading.BoundedSemaphore(max_concurrent_queries)
         self._closing = threading.Event()
@@ -318,9 +325,8 @@ class KleisliServer:
         attached) is durably flushed, so the learned state of everything
         this server ran survives to warm-start the next process.
         """
-        hub = self.engine.observability
-        if hub is not None and not self._draining.is_set():
-            hub.note_drain()
+        if not self._draining.is_set():
+            self._drains.inc()
         self._draining.set()
         self._watchdog_stop.set()
         if self._watchdog_thread is not None:
@@ -379,6 +385,31 @@ class KleisliServer:
         with self._lock:
             return self._active_sessions
 
+    def stats(self) -> Dict[str, int]:
+        """The service counters: the ``server`` section of the ``stats`` op.
+
+        Read from the engine's registry, so servers sharing one engine
+        share them.  Invariants the concurrency tests assert: once every
+        client has disconnected, ``sessions_opened == sessions_closed`` and
+        ``cursors_opened == cursors_closed`` — a difference is a leaked
+        session thread or a cursor whose admission slot was never returned.
+        ``queued`` counts every request that waited for a slot, including
+        those the queue timeout then rejected.
+        """
+        sessions = self._sessions.values()
+        cursors = self._cursors.values()
+        return {
+            "sessions_opened": sessions.get(("opened",), 0),
+            "sessions_closed": sessions.get(("closed",), 0),
+            "sessions_refused": sessions.get(("refused",), 0),
+            "queries": self._queries.value,
+            "rejections": self._rejected.value,
+            "queued": self._queued.value,
+            "failures": self._failures.value,
+            "cursors_opened": cursors.get(("opened",), 0),
+            "cursors_closed": cursors.get(("closed",), 0),
+        }
+
     # -- accept / serve loops ------------------------------------------------
 
     def _accept_loop(self) -> None:
@@ -399,7 +430,7 @@ class KleisliServer:
                     self._active_sessions += 1
                     self._connections.add(conn)
             if not admit:
-                self.stats.increment("sessions_refused")
+                self._sessions.labels("refused").inc()
                 try:
                     send_message(conn, {
                         "ok": False,
@@ -449,10 +480,10 @@ class KleisliServer:
                         cursor.token.cancel(
                             f"watchdog: query exceeded max runtime "
                             f"of {limit}s")
-                        self.engine.governor.count("watchdog_kills")
+                        self._watchdog_kills.inc()
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        self.stats.increment("sessions_opened")
+        self._sessions.labels("opened").inc()
         session = Session(engine=self.engine,
                           memory_limit=self.session_memory_limit)
         gateway = ViewGateway(session, self.view_registry) \
@@ -496,7 +527,7 @@ class KleisliServer:
                 self._connections.discard(conn)
                 self._states.discard(state)
                 self._active_sessions -= 1
-            self.stats.increment("sessions_closed")
+            self._sessions.labels("closed").inc()
 
     # -- admission control ---------------------------------------------------
 
@@ -508,35 +539,27 @@ class KleisliServer:
         backpressure building before rejections start).  Raises
         :class:`ServerOverloadedError` when the policy rejects.
         """
-        hub = self.engine.observability
         if self._draining.is_set():
             # A draining server admits nothing new; in-flight work (and
             # open cursors' fetches, which hold their slot already) keeps
             # being served until the drain deadline.
-            self.stats.increment("rejections")
-            if hub is not None:
-                hub.observe_admission("rejected")
+            self._rejected.inc()
             raise ServerOverloadedError("server is draining; retry elsewhere")
         if self._slots.acquire(blocking=False):
-            if hub is not None:
-                hub.observe_admission("immediate")
+            self._immediate.inc()
             return "immediate", self._make_slot()
         if self.admission == "reject":
-            self.stats.increment("rejections")
-            if hub is not None:
-                hub.observe_admission("rejected")
+            self._rejected.inc()
             raise ServerOverloadedError(
                 f"server at its {self.max_concurrent_queries} in-flight "
                 f"query cap (policy: reject)")
-        self.stats.increment("queued")
+        self._queued.inc()
         queued_at = time.monotonic()
-        if self._slots.acquire(timeout=self.queue_timeout):
-            if hub is not None:
-                hub.observe_admission("queued", time.monotonic() - queued_at)
+        admitted = self._slots.acquire(timeout=self.queue_timeout)
+        self._queue_wait.observe(time.monotonic() - queued_at)
+        if admitted:
             return "queued", self._make_slot()
-        self.stats.increment("rejections")
-        if hub is not None:
-            hub.observe_admission("rejected", time.monotonic() - queued_at)
+        self._rejected.inc()
         raise ServerOverloadedError(
             f"no in-flight query slot freed within {self.queue_timeout}s "
             f"(cap {self.max_concurrent_queries}, policy: queue)")
@@ -568,11 +591,11 @@ class KleisliServer:
             return {"ok": False, "error_type": "ServerOverloadedError",
                     "error": str(error), "admission": "rejected"}
         except ReproError as error:
-            self.stats.increment("failures")
+            self._failures.inc()
             return {"ok": False, "error_type": type(error).__name__,
                     "error": str(error)}
         except Exception as error:  # noqa: BLE001 - the server must survive
-            self.stats.increment("failures")
+            self._failures.inc()
             return {"ok": False, "error_type": "InternalError",
                     "error": f"{type(error).__name__}: {error}"}
 
@@ -636,7 +659,7 @@ class KleisliServer:
             value = state.session.run(source, **options)
         finally:
             slot.release()
-        self.stats.increment("queries")
+        self._queries.inc()
         return {"ok": True, "value": encode_value(value), "admission": how,
                 "warnings": encode_warnings(
                     self.engine.thread_eval_statistics())}
@@ -649,7 +672,7 @@ class KleisliServer:
             result = state.session.query(source, **options)
         finally:
             slot.release()
-        self.stats.increment("queries")
+        self._queries.inc()
         return {"ok": True, "value": encode_value(result.value),
                 "admission": how,
                 "warnings": encode_warnings(
@@ -663,7 +686,7 @@ class KleisliServer:
             # Admission control, not failure: the quota protects the shared
             # slot pool from one session holding every slot through idle
             # cursors; close (or drain) one and retry.
-            self.stats.increment("rejections")
+            self._rejected.inc()
             raise ServerOverloadedError(
                 f"session at its {quota}-cursor quota; close a cursor first")
         token = CancellationToken()
@@ -678,10 +701,10 @@ class KleisliServer:
             self._cursor_counter += 1
             cursor_id = f"c{self._cursor_counter}"
         state.cursors[cursor_id] = _Cursor(
-            stream, slot, self.stats,
+            stream, slot, self._cursors.labels("closed"),
             statistics=self.engine.thread_eval_statistics(), token=token)
-        self.stats.increment("cursors_opened")
-        self.stats.increment("queries")
+        self._cursors.labels("opened").inc()
+        self._queries.inc()
         return {"ok": True, "cursor": cursor_id, "admission": how}
 
     def _op_fetch(self, state: _Connection, message: dict) -> dict:
@@ -762,7 +785,7 @@ class KleisliServer:
             response = state.gateway.handle(path, form)
         finally:
             slot.release()
-        self.stats.increment("queries")
+        self._queries.inc()
         payload = response.as_payload()
         payload["ok"] = True
         payload["admission"] = how
@@ -789,31 +812,25 @@ class KleisliServer:
         ``section: "value"`` frame), then the body is cut and ``next_offset``
         tells the client where to resume (``section: "body", offset: n``).
         """
-        def size(message: dict) -> int:
-            try:
-                return len(encode_frame(message))
-            except WireProtocolError:
-                return MAX_FRAME_BYTES + 1
-
         body = payload.get("body")
         if offset and isinstance(body, str):
             payload["body"] = body[offset:]
-        if size(payload) <= _STATS_BYTE_BUDGET:
+        if _frame_size(payload) <= _STATS_BYTE_BUDGET:
             return payload
         dropped: List[str] = []
         if section != "value" and "value" in payload:
             del payload["value"]
             dropped.append("value")
         body = payload.get("body")
-        if size(payload) > _STATS_BYTE_BUDGET and isinstance(body, str):
+        if _frame_size(payload) > _STATS_BYTE_BUDGET and isinstance(body, str):
             kept = body
-            while size(payload) > _STATS_BYTE_BUDGET and kept:
+            while _frame_size(payload) > _STATS_BYTE_BUDGET and kept:
                 kept = kept[: len(kept) // 2]
                 payload["body"] = kept
             if len(kept) < len(body):
                 dropped.append("body")
                 payload["next_offset"] = offset + len(kept)
-        if size(payload) > _STATS_BYTE_BUDGET:
+        if _frame_size(payload) > _STATS_BYTE_BUDGET:
             # The one un-pageable case: a single encoded value larger than
             # a frame, explicitly requested.  Refuse it typed instead of
             # letting the framing layer kill the connection.
@@ -830,6 +847,7 @@ class KleisliServer:
     def _op_metrics(self, state: _Connection, message: dict) -> dict:
         """Prometheus-style text exposition of the engine's metrics registry.
 
+        Always answers with every series the engine counts, hub or not.
         Frame-capped like ``stats``: an oversized rendering is cut and the
         reply carries ``next_offset`` so the client pages through with
         ``{'op': 'metrics', 'offset': <next_offset>}``.
@@ -838,14 +856,9 @@ class KleisliServer:
         if isinstance(offset, bool) or not isinstance(offset, int) or offset < 0:
             raise WireProtocolError(
                 "metrics 'offset' must be a non-negative integer")
-        hub = self.engine.observability
-        if hub is None:
-            return {"ok": True, "attached": False, "text": "",
-                    "complete": True}
-        text = hub.metrics.render()
-        reply = {"ok": True, "attached": True, "offset": offset,
-                 "total_chars": len(text), "text": text[offset:],
-                 "complete": True}
+        text = self.engine.metrics.render()
+        reply = {"ok": True, "offset": offset, "total_chars": len(text),
+                 "text": text[offset:], "complete": True}
         return self._cap_text(reply, "text", offset)
 
     def _op_trace(self, state: _Connection, message: dict) -> dict:
@@ -865,15 +878,8 @@ class KleisliServer:
         reply = {"ok": True, "attached": True,
                  "tracer": hub.tracer.snapshot(),
                  "traces": hub.tracer.recent(limit)}
-
-        def size(message_: dict) -> int:
-            try:
-                return len(encode_frame(message_))
-            except WireProtocolError:
-                return MAX_FRAME_BYTES + 1
-
         dropped = 0
-        while size(reply) > _STATS_BYTE_BUDGET and reply["traces"]:
+        while _frame_size(reply) > _STATS_BYTE_BUDGET and reply["traces"]:
             reply["traces"] = reply["traces"][1:]
             dropped += 1
         if dropped:
@@ -895,14 +901,7 @@ class KleisliServer:
                     "hint": "run a query with {'profile': true} first"}
         reply = {"ok": True, "available": True, "render": profile.render(),
                  "profile": profile.as_dict()}
-
-        def size(message_: dict) -> int:
-            try:
-                return len(encode_frame(message_))
-            except WireProtocolError:
-                return MAX_FRAME_BYTES + 1
-
-        if size(reply) > _STATS_BYTE_BUDGET:
+        if _frame_size(reply) > _STATS_BYTE_BUDGET:
             # The span tree is the only unbounded part (bounded per query,
             # but up to max_spans nodes with attributes); the tabular
             # profile always fits.
@@ -912,15 +911,9 @@ class KleisliServer:
 
     def _cap_text(self, reply: dict, key: str, offset: int) -> dict:
         """Cut an oversized text field and advertise ``next_offset``."""
-        def size(message: dict) -> int:
-            try:
-                return len(encode_frame(message))
-            except WireProtocolError:
-                return MAX_FRAME_BYTES + 1
-
         full = reply.get(key, "")
         kept = full
-        while size(reply) > _STATS_BYTE_BUDGET and kept:
+        while _frame_size(reply) > _STATS_BYTE_BUDGET and kept:
             kept = kept[: len(kept) // 2]
             reply[key] = kept
         if len(kept) < len(full):
@@ -930,7 +923,7 @@ class KleisliServer:
 
     def _op_stats(self, state: _Connection, message: dict) -> dict:
         sections: Dict[str, Callable[[], object]] = {
-            "server": self.stats.snapshot,
+            "server": self.stats,
             "engine": self.engine.health,
             "sessions": lambda: self.active_sessions,
             "admission": lambda: {"policy": self.admission,
@@ -939,7 +932,7 @@ class KleisliServer:
                                   "queue_timeout": self.queue_timeout},
             # The governance books alone — what a monitoring poll wants,
             # without the whole engine health payload.
-            "governance": self.engine.governor.snapshot,
+            "governance": self.engine.governance,
             "observability": self._observability_section,
             "slow_queries": self._slow_queries_section,
         }
@@ -979,12 +972,7 @@ class KleisliServer:
         and listed in ``truncated``, so the client can re-request each as
         its own ``section`` frame.
         """
-        def size(message: dict) -> int:
-            try:
-                return len(encode_frame(message))
-            except WireProtocolError:
-                return MAX_FRAME_BYTES + 1
-        if size(reply) <= _STATS_BYTE_BUDGET:
+        if _frame_size(reply) <= _STATS_BYTE_BUDGET:
             return reply
         dropped: List[str] = []
         victims: List[Tuple[str, dict, str]] = []
@@ -999,7 +987,7 @@ class KleisliServer:
                 continue
             container[key] = {"truncated": True}
             dropped.append(label)
-            if size(reply) <= _STATS_BYTE_BUDGET:
+            if _frame_size(reply) <= _STATS_BYTE_BUDGET:
                 break
         reply["truncated"] = dropped
         reply["hint"] = "re-request one section at a time: " \

@@ -31,7 +31,6 @@ from repro.kleisli.governance import (
     NOMINAL_ROW_BYTES,
     CancellationToken,
     MemoryBudget,
-    QueryGovernor,
 )
 from repro.kleisli.session import Session
 
@@ -173,24 +172,25 @@ class TestMemoryBudget:
             MemoryBudget(-5)
 
 
-# -- QueryGovernor ------------------------------------------------------------
+# -- the governance books ------------------------------------------------------
 
-class TestQueryGovernor:
-    def test_count_merge_snapshot(self):
-        governor = QueryGovernor()
-        governor.count("cancellations")
-        governor.merge({"spills": 2, "bytes_spilled": 99,
-                        "spill_fallbacks": 0})
-        books = governor.snapshot()
+class TestGovernanceBooks:
+    def test_books_read_the_engine_registry(self):
+        engine = KleisliEngine()
+        engine.metrics.get("repro_cancellations_total").inc()
+        engine.metrics.get("repro_spills_total").inc(2)
+        engine.metrics.get("repro_query_spilled_bytes").observe(99)
+        books = engine.governance()
         assert books["cancellations"] == 1
         assert books["spills"] == 2
         assert books["bytes_spilled"] == 99
         assert books["budget_rejections"] == 0
+        assert "spill_fallbacks" not in books
         assert "pool_used_bytes" not in books
+        assert engine.health()["governance"] == books
 
-    def test_pool_limit_surfaces_in_snapshot(self):
-        governor = QueryGovernor(pool_limit=1 << 20)
-        books = governor.snapshot()
+    def test_pool_limit_surfaces_in_books(self):
+        books = KleisliEngine(memory_pool_limit=1 << 20).governance()
         assert books["pool_limit_bytes"] == 1 << 20
         assert books["pool_used_bytes"] == 0
 
@@ -214,7 +214,7 @@ def test_precancelled_execute_raises_before_any_dispatch(mode):
     driver = engine.driver("ranges")
     assert driver.request_count == 0      # pre-dispatch checkpoint held
     assert EvalScope.live_count() == 0
-    assert engine.governor.snapshot()["cancellations"] == 1
+    assert engine.governance()["cancellations"] == 1
 
 
 @pytest.mark.parametrize("chunked", [True, False])
@@ -235,7 +235,7 @@ def test_stream_cancel_mid_drain_releases_cursors(mode, chunked):
     # chunk had already buffered, but never runs to completion.
     assert 5 <= len(got) < 200
     assert EvalScope.live_count() == 0
-    assert engine.governor.snapshot()["cancellations"] == 1
+    assert engine.governance()["cancellations"] == 1
 
 
 def test_driver_side_cancellation_stops_eager_run(cancel_after=4):
@@ -255,7 +255,7 @@ def test_cancelled_stream_closed_early_still_counts(capsys):
     next(stream)
     token.cancel("client went away")
     stream.close()                        # never drained into the error
-    assert engine.governor.snapshot()["cancellations"] == 1
+    assert engine.governance()["cancellations"] == 1
     assert EvalScope.live_count() == 0
 
 
@@ -266,7 +266,7 @@ def test_cancel_after_completion_counts_nothing(capsys):
                                 cancellation=token))
     assert len(values) == 10
     token.cancel("too late")
-    assert engine.governor.snapshot()["cancellations"] == 0
+    assert engine.governance()["cancellations"] == 0
 
 
 # -- engine: memory budgets ---------------------------------------------------
@@ -276,7 +276,7 @@ def test_over_budget_execute_raises_typed_and_counts():
     with pytest.raises(MemoryBudgetExceededError):
         engine.execute(_comprehension(count=1000), memory_budget=1024,
                        spill=False)
-    assert engine.governor.snapshot()["budget_rejections"] == 1
+    assert engine.governance()["budget_rejections"] == 1
     assert EvalScope.live_count() == 0
 
 
@@ -296,8 +296,8 @@ def test_engine_pool_settles_after_each_run():
     engine.register_driver(RangeDriver())
     for _ in range(3):
         list(iter_collection(engine.execute(_comprehension(count=200))))
-        assert engine.governor.pool.used == 0
-    assert engine.governor.pool.peak > 0   # the runs really charged it
+        assert engine.memory_pool.used == 0
+    assert engine.memory_pool.peak > 0   # the runs really charged it
 
 
 def test_engine_pool_cap_rejects_even_unbudgeted_runs():
@@ -305,8 +305,8 @@ def test_engine_pool_cap_rejects_even_unbudgeted_runs():
     engine.register_driver(RangeDriver())
     with pytest.raises(MemoryBudgetExceededError):
         engine.execute(_comprehension(count=5000), spill=False)
-    assert engine.governor.pool.used == 0  # rolled back and settled
-    assert engine.governor.snapshot()["budget_rejections"] == 1
+    assert engine.memory_pool.used == 0  # rolled back and settled
+    assert engine.governance()["budget_rejections"] == 1
 
 
 def test_budget_settles_when_stream_abandoned_mid_drain():
@@ -315,7 +315,7 @@ def test_budget_settles_when_stream_abandoned_mid_drain():
     stream = engine.stream(_comprehension(count=500), memory_budget=1 << 19)
     next(stream)
     stream.close()
-    assert engine.governor.pool.used == 0
+    assert engine.memory_pool.used == 0
     assert EvalScope.live_count() == 0
 
 
@@ -330,9 +330,9 @@ def test_ungoverned_runs_keep_books_at_zero(chunked):
     streamed = list(engine.stream(expr, chunked=chunked))
     assert streamed == eager
     assert engine.last_eval_statistics.elements_fetched == eager_fetched
-    books = engine.governor.snapshot()
+    books = engine.governance()
     assert all(count == 0 for count in books.values())
-    assert engine.governor.pool is None
+    assert engine.memory_pool is None
 
 
 def test_ungoverned_context_has_no_hooks():

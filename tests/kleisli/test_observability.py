@@ -10,10 +10,16 @@ The PR 10 acceptance criteria, as tests:
   observability field ``None`` and reproduces the unobserved run exactly
   (values + ``elements_fetched``); attaching a hub changes observations,
   never results.
+* **One accounting spine** — the engine's always-on registry counts every
+  driver request once under its driver label (native batches included),
+  with retries, failures and spills beside them, and EXPLAIN ANALYZE
+  agrees with it.
 * **Sampled row width** — with zero samples ``engine.row_width`` returns
   ``NOMINAL_ROW_BYTES`` verbatim (the spill plan gate is bit-identical to
   the PR 9 constant); spilled runs feed it real bytes-per-row.
 """
+
+import re
 
 import pytest
 
@@ -23,7 +29,7 @@ from repro.core.errors import QueryCancelledError, TransientDriverError
 from repro.core.nrc import ast as A
 from repro.core.nrc import builder as B
 from repro.core.nrc.eval import EvalScope
-from repro.core.values import iter_collection
+from repro.core.values import CList, iter_collection
 from repro.kleisli.drivers.base import Driver
 from repro.kleisli.engine import KleisliEngine
 from repro.kleisli.governance import NOMINAL_ROW_BYTES, CancellationToken
@@ -44,6 +50,20 @@ class RangeDriver(Driver):
                 yield i
 
         return cursor()
+
+
+class BatchRangeDriver(RangeDriver):
+    """Ships a whole batch of requests in one round trip."""
+
+    batch_single_round_trip = True
+
+    def __init__(self):
+        super().__init__("batchy")
+        self.batch_calls = []
+
+    def execute_batch(self, requests):
+        self.batch_calls.append(len(requests))
+        return [self.execute(request) for request in requests]
 
 
 def _scan(count=50, driver="ranges"):
@@ -196,18 +216,86 @@ def test_attached_hub_changes_observations_never_results(lowering):
     assert _run(observed, expr, lowering) == baseline
     assert observed.last_eval_statistics.elements_fetched == bare_fetched
     # ... but the hub really did observe the run
-    assert hub.queries.value == 1
-    assert hub.driver_requests.value >= 1
     assert hub.tracer.snapshot()["finished"] == 1
+    assert hub.metrics is observed.metrics
+    # counting never depended on the hub: both engines counted the same
+    for engine in (bare, observed):
+        assert engine.metrics.get("repro_queries_total").value == 1
+        requests = engine.metrics.get("repro_driver_requests_total")
+        assert requests.values()[("Faulty",)] >= 1
 
 
-def test_hub_counts_retries_and_failures():
+def test_registry_counts_retries_and_failures_per_driver():
     engine = _federated_engine()
-    hub = engine.attach_observability(Observability())
     list(engine.stream(_doubling(driver="Faulty"), chunked=True))
-    assert hub.retries.value == 1
-    assert hub.driver_failures.value == 1
-    assert hub.request_latency.count >= 2  # the failed try + the retry
+    metrics = engine.metrics
+    assert metrics.get("repro_retries_total").values() == {("Faulty",): 1}
+    assert metrics.get("repro_driver_failures_total").values() \
+        == {("Faulty",): 1}
+    # the failed try + the retry
+    assert metrics.get("repro_driver_requests_total").values() \
+        == {("Faulty",): 2}
+    assert metrics.get("repro_driver_request_seconds").labels("Faulty") \
+        .count == 2
+    books = engine.health()["resilience"]["Faulty"]
+    assert (books["retries"], books["failures"]) == (1, 1)
+
+
+def test_native_batches_count_every_request_once():
+    engine = _plain_engine()
+    driver = engine.register_driver(BatchRangeDriver())
+    before = driver.request_count
+    expr = B.ext("x", A.Scan("batchy", {"table": "t"},
+                             args={"count": B.var("x")}, kind="bag"),
+                 A.Const(CList(range(7))), kind="bag")
+    list(engine.stream(expr, optimize=False, chunked=True, profile=True))
+    assert driver.batch_calls == [1, 2, 4]
+    requests = driver.request_count - before
+    assert requests == 7
+    assert engine.last_eval_statistics.scan_requests == requests
+    assert engine.last_profile.drivers["batchy"]["requests"] == requests
+    metrics = engine.metrics
+    assert metrics.get("repro_driver_requests_total").values() \
+        == {("batchy",): requests}
+    # one latency observation per round trip: one per native batch
+    assert metrics.get("repro_driver_request_seconds").labels("batchy") \
+        .count == 3
+
+
+_SAMPLE = re.compile(r'([a-zA-Z_:][\w:]*)(?:\{(.*)\})? (\S+)\Z')
+_LABEL = re.compile(r'([a-zA-Z_]\w*)="((?:[^"\\\n]|\\[\\"n])*)"(?:,|\Z)')
+
+
+def _parse_exposition(text):
+    """Prometheus text format, one line at a time: (name, labels, value)."""
+    samples = []
+    for line in text.split("\n"):
+        if not line or line.startswith("#"):
+            continue
+        match = _SAMPLE.match(line)
+        assert match, line
+        labels, body, pos = {}, match.group(2) or "", 0
+        while pos < len(body):
+            label = _LABEL.match(body, pos)
+            assert label, line
+            labels[label.group(1)] = re.sub(
+                r"\\(.)", lambda m: "\n" if m.group(1) == "n" else m.group(1),
+                label.group(2))
+            pos = label.end()
+        samples.append((match.group(1), labels, float(match.group(3))))
+    return samples
+
+
+def test_outside_driver_names_are_escaped_in_the_exposition():
+    name = 'we"ird\\name'
+    engine = KleisliEngine()
+    engine.register_driver(RangeDriver(name))
+    assert len(list(engine.stream(_doubling(count=5, driver=name)))) == 5
+    samples = _parse_exposition(engine.metrics.render())
+    requests = [value for metric, labels, value in samples
+                if metric == "repro_driver_requests_total"]
+    assert requests == [1.0]
+    assert ("repro_driver_requests_total", {"driver": name}, 1.0) in samples
 
 
 def test_hub_slow_query_log_records_profiles():
@@ -219,13 +307,13 @@ def test_hub_slow_query_log_records_profiles():
     assert entry["actual_rows"] == 50.0
 
 
-def test_hub_governance_counters_feed_from_the_books():
+def test_spill_books_feed_the_registry():
     engine = _plain_engine()
-    hub = engine.attach_observability(Observability())
     list(engine.stream(_dedup(), optimize=False, spill=True))
-    assert hub.spills.value > 0
-    assert hub.spilled_bytes.count >= 1
-    assert engine.health()["observability"]["attached"] is True
+    spills = engine.metrics.get("repro_spills_total").value
+    assert spills > 0
+    assert engine.metrics.get("repro_query_spilled_bytes").count == 1
+    assert engine.health()["governance"]["spills"] == spills
 
 
 # -- sampled row width (the PR 9 constant-gate differential pin) ----------------

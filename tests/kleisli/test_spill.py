@@ -325,10 +325,10 @@ def test_spilled_run_matches_in_memory_across_all_lowerings(shape):
         assert spill_values == plain_values
         assert spill_fetched == plain_fetched
         assert EvalScope.live_count() == 0
-    books = spill_engine.governor.snapshot()
+    books = spill_engine.governance()
     assert books["spills"] > 0
     assert books["bytes_spilled"] > 0
-    assert baseline_engine.governor.snapshot()["spills"] == 0
+    assert baseline_engine.governance()["spills"] == 0
 
 
 def test_over_budget_dedup_completes_under_spill():
@@ -347,7 +347,7 @@ def test_over_budget_dedup_completes_under_spill():
                                   memory_budget=budget, spill=True))
     plain = list(_engine().stream(expr, optimize=False, chunked=False))
     assert values == plain
-    books = degraded.governor.snapshot()
+    books = degraded.governance()
     assert books["spills"] > 0 and books["budget_rejections"] == 0
 
 
@@ -355,8 +355,8 @@ def test_spilled_engine_run_settles_books_and_budget():
     engine = KleisliEngine(memory_pool_limit=1 << 22)
     engine.register_driver(RangeDriver())
     list(engine.stream(_dedup_expr(), optimize=False, spill=True))
-    assert engine.governor.pool.used == 0
-    assert engine.governor.snapshot()["spills"] > 0
+    assert engine.memory_pool.used == 0
+    assert engine.governance()["spills"] > 0
     assert EvalScope.live_count() == 0
 
 

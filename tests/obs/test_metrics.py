@@ -1,12 +1,14 @@
 """The metrics registry, one behaviour at a time.
 
-Counters/gauges/histograms (thread-safe, typed), the fixed-exponential
-bucket ladder builder, Prometheus-style text exposition, and the sampled
+Counters/gauges/histograms (thread-safe, typed, labelled), the
+fixed-exponential bucket ladder builder, lossless Prometheus-style text
+exposition with escaped label values, and the sampled
 row-width estimator whose zero-sample behaviour reproduces the
 ``NOMINAL_ROW_BYTES`` constant bit-for-bit (the PR 9 budget gate's
 differential pin).
 """
 
+import sys
 import threading
 
 import pytest
@@ -50,19 +52,31 @@ class TestCounterAndGauge:
         gauge.add(-3)
         assert gauge.value == 7
 
-    def test_counter_is_thread_safe(self):
-        counter = Counter("c")
+    @pytest.mark.parametrize("labels", [(), ("driver",)])
+    def test_counter_is_thread_safe(self, labels):
+        # More threads than cores and a short switch interval: a lost
+        # update, or a series created twice for one label value, shows up
+        # as a short total.
+        counter = Counter("c", labels=labels)
 
-        def work():
-            for _ in range(1000):
-                counter.inc()
+        def work(i):
+            for j in range(1000):
+                values = [f"d{(i + j) % 3}"] if labels else []
+                counter.labels(*values).inc()
 
-        threads = [threading.Thread(target=work) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert counter.value == 8000
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sum(counter.values().values()) == 8000
 
 
 class TestHistogram:
@@ -117,6 +131,45 @@ class TestRegistry:
         assert 'lat_seconds_bucket{le="+Inf"} 1' in text
         assert "lat_seconds_count 1" in text
         assert text.endswith("\n")
+
+    def test_render_is_lossless_for_large_and_fractional_values(self):
+        registry = MetricsRegistry()
+        registry.counter("big_total").inc(1234567)
+        registry.counter("frac_total").inc(0.1 + 0.2)
+        registry.histogram("bytes", (1024.0, 1048576.0)).observe(1048576)
+        text = registry.render()
+        assert "big_total 1234567\n" in text
+        assert "frac_total 0.30000000000000004\n" in text
+        assert 'bytes_bucket{le="1048576"} 1\n' in text
+        assert "bytes_sum 1048576\n" in text
+        assert "e+" not in text
+
+    def test_labelled_families_render_one_sample_per_series(self):
+        registry = MetricsRegistry()
+        requests = registry.counter("reqs_total", "Requests", ("driver",))
+        requests.labels("GDB").inc(2)
+        requests.labels("GenBank").inc()
+        latency = registry.histogram("lat_seconds", (0.5,), "Latency",
+                                     ("driver",))
+        latency.labels("GDB").observe(0.25)
+        text = registry.render()
+        assert 'reqs_total{driver="GDB"} 2\n' in text
+        assert 'reqs_total{driver="GenBank"} 1\n' in text
+        assert 'lat_seconds_bucket{driver="GDB",le="0.5"} 1\n' in text
+        assert 'lat_seconds_bucket{driver="GDB",le="+Inf"} 1\n' in text
+        assert 'lat_seconds_count{driver="GDB"} 1\n' in text
+        assert requests.values() == {("GDB",): 2, ("GenBank",): 1}
+        with pytest.raises(ValueError):
+            requests.inc()              # a labelled family needs its labels
+        with pytest.raises(ValueError):
+            registry.counter("reqs_total", labels=("outcome",))
+
+    def test_label_values_are_escaped(self):
+        registry = MetricsRegistry()
+        registry.counter("reqs_total", labels=("driver",)) \
+            .labels('a"b\\c\nd').inc()
+        assert 'reqs_total{driver="a\\"b\\\\c\\nd"} 1\n' \
+            in registry.render()
 
     def test_snapshot_lists_every_metric(self):
         registry = MetricsRegistry()

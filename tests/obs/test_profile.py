@@ -67,6 +67,9 @@ class TestDriverSpanFold:
                          {"name": "GDB", "kind": "driver", "duration": 2.0},
                          {"name": "Entrez", "kind": "driver-batch",
                           "duration": 0.5},
+                         {"name": "Entrez", "kind": "driver-batch",
+                          "duration": 0.25,
+                          "attributes": {"requests": 4}},
                          {"name": "retry", "kind": "event", "duration": 0.0},
                      ]},
                 ],
@@ -74,7 +77,7 @@ class TestDriverSpanFold:
         }
         assert aggregate_driver_spans(trace_dict) == {
             "GDB": {"requests": 2, "seconds": 3.0},
-            "Entrez": {"requests": 1, "seconds": 0.5},
+            "Entrez": {"requests": 5, "seconds": 0.75},
         }
 
     def test_empty_or_malformed_trace_folds_to_nothing(self):

@@ -144,14 +144,14 @@ def test_cancellation_never_leaks_cursors_or_yields_partials(
         # No typed error → the run must have completed with the full,
         # untruncated result (the cancel arrived too late to matter).
         assert got == expected
-        assert engine.governor.snapshot()["cancellations"] == 0
+        assert engine.governance()["cancellations"] == 0
     else:
         # Typed error → whatever was yielded is a prefix of the ungoverned
         # sequence (cooperative checkpoints may let buffered chunk
         # elements flush, but never reorder or fabricate elements).
         assert got == expected[:len(got)]
         assert len(got) < len(expected) or chunked is None
-        assert engine.governor.snapshot()["cancellations"] == 1
+        assert engine.governance()["cancellations"] == 1
 
 
 @settings(max_examples=25, deadline=None)
@@ -175,5 +175,5 @@ def test_ungoverned_token_free_runs_are_unaffected(shape_index, lowering):
                                  cancellation=token))
     assert got == expected
     assert EvalScope.live_count() == 0
-    books = engine.governor.snapshot()
+    books = engine.governance()
     assert all(count == 0 for count in books.values())

@@ -137,7 +137,7 @@ class TestSoak:
         assert wait_until(
             lambda: EvalScope.live_count() == baseline_scopes), \
             "EvalScopes leaked by the soak"
-        stats = server.stats.snapshot()
+        stats = server.stats()
         assert stats["sessions_opened"] == stats["sessions_closed"] == CLIENTS
         assert stats["cursors_opened"] == stats["cursors_closed"] > 0
         assert stats["failures"] == 0
@@ -212,7 +212,7 @@ class TestSoak:
         assert wait_until(lambda: stable.open_cursors == 0)
         assert wait_until(
             lambda: EvalScope.live_count() == baseline_scopes)
-        stats = server.stats.snapshot()
+        stats = server.stats()
         assert stats["sessions_opened"] == stats["sessions_closed"]
         assert stats["cursors_opened"] == stats["cursors_closed"]
         assert stats["failures"] == len(faults_seen)
@@ -238,6 +238,6 @@ class TestSoak:
                 f"{stable.open_cursors} cursors survived dirty disconnects"
             assert wait_until(lambda: server.active_sessions == 0)
         assert EvalScope.live_count() == baseline_scopes
-        stats = server.stats.snapshot()
+        stats = server.stats()
         assert stats["cursors_opened"] == stats["cursors_closed"] == CLIENTS
         assert stats["sessions_opened"] == stats["sessions_closed"] == CLIENTS

@@ -102,7 +102,8 @@ def test_drain_deadline_force_closes_stuck_cursors():
         server.stop()
         elapsed = time.monotonic() - started
         assert elapsed < 5.0
-        assert server.stats.cursors_opened == server.stats.cursors_closed
+        stats = server.stats()
+        assert stats["cursors_opened"] == stats["cursors_closed"]
     finally:
         client.close()
         if server.address is not None:  # pragma: no cover - failure path

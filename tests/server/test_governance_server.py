@@ -41,6 +41,11 @@ def client(server):
 QUERY = "{ x | \\x <- Nums }"
 
 
+def _balanced(server, what):
+    stats = server.stats()
+    return stats[f"{what}_opened"] == stats[f"{what}_closed"]
+
+
 # ---------------------------------------------------------------------------
 # the cancel op
 # ---------------------------------------------------------------------------
@@ -58,9 +63,10 @@ class TestCancelOp:
         # ... its EvalScope released the run's cursors ...
         assert wait_until(lambda: EvalScope.live_count() == 0)
         # ... and the books recorded exactly one cancellation.
-        books = server.engine.governor.snapshot()
+        books = server.engine.governance()
         assert books["cancellations"] == 1
-        assert server.stats.cursors_opened == server.stats.cursors_closed == 1
+        stats = server.stats()
+        assert stats["cursors_opened"] == stats["cursors_closed"] == 1
 
     def test_cancel_unknown_cursor_reports_false(self, client):
         assert client.cancel("c999") is False
@@ -71,7 +77,7 @@ class TestCancelOp:
         client.cancel(cursor)
         assert list(client.stream("{ x | \\x <- Nums, x < 5 }")) == \
             list(range(5))
-        assert server.stats.failures == 0
+        assert server.stats()["failures"] == 0
 
     def test_cancel_only_touches_the_target_query(self, server, client):
         survivor = client.open(QUERY)
@@ -86,7 +92,7 @@ class TestCancelOp:
             drained.extend(reply["values"])
             done = reply["done"]
         assert drained == list(range(N))
-        assert server.engine.governor.snapshot()["cancellations"] == 1
+        assert server.engine.governance()["cancellations"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +108,7 @@ class TestWatchdog:
                 client.fetch(cursor, batch=4)
                 # Idle past the runtime limit: the watchdog cancels the
                 # token (exactly once) but tears nothing down itself.
-                assert wait_until(lambda: server.engine.governor.snapshot()
+                assert wait_until(lambda: server.engine.governance()
                                   ["watchdog_kills"] == 1)
                 # The serving thread surfaces the typed error at the next
                 # fetch — cooperative teardown, never mid-value.
@@ -111,7 +117,7 @@ class TestWatchdog:
                         client.fetch(cursor, batch=4)
                 assert info.value.error_type == "QueryCancelledError"
                 assert "watchdog" in str(info.value)
-                books = server.engine.governor.snapshot()
+                books = server.engine.governance()
                 assert books["watchdog_kills"] == 1
                 assert books["cancellations"] == 1
                 assert wait_until(lambda: EvalScope.live_count() == 0)
@@ -124,7 +130,7 @@ class TestWatchdog:
                            watchdog_interval=0.02) as server:
             with KleisliClient(server.address) as client:
                 assert len(list(client.stream(QUERY))) == N
-                books = server.engine.governor.snapshot()
+                books = server.engine.governance()
                 assert books["watchdog_kills"] == 0
                 assert books["cancellations"] == 0
 
@@ -142,10 +148,10 @@ class TestSessionQuotas:
                 client.open(QUERY)
                 with pytest.raises(ServerOverloadedError, match="quota"):
                     client.open(QUERY)
-                assert server.stats.rejections == 1
+                assert server.stats()["rejections"] == 1
                 # Quota rejections are admission control, not failures —
                 # closing a cursor frees the quota immediately.
-                assert server.stats.failures == 0
+                assert server.stats()["failures"] == 0
                 client.close_cursor(first)
                 client.open(QUERY)
 
@@ -164,11 +170,11 @@ class TestSessionQuotas:
                 with pytest.raises(RemoteQueryError) as info:
                     client.query(QUERY, spill=False)
                 assert info.value.error_type == "MemoryBudgetExceededError"
-                assert server.engine.governor.snapshot()
+                assert server.engine.governance()
                 # The failed run returned its charges: small queries fit.
                 assert list(client.stream("{ x | \\x <- Nums, x < 4 }",
                                           spill=False)) == [0, 1, 2, 3]
-                books = server.engine.governor.snapshot()
+                books = server.engine.governance()
                 assert books["budget_rejections"] == 1
 
     def test_per_request_budget_caps_inside_the_session_quota(self):
@@ -281,13 +287,11 @@ def test_eight_session_soak_cancel_some_drain_others():
             for client in clients:
                 client.close()
         # The books balance: exactly the four cancels, nothing else.
-        assert wait_until(
-            lambda: server.stats.cursors_opened == server.stats.cursors_closed)
-        books = engine.governor.snapshot()
+        assert wait_until(lambda: _balanced(server, "cursors"))
+        books = engine.governance()
         assert books["cancellations"] == 4
         assert books["watchdog_kills"] == 0
         assert books["budget_rejections"] == 0
-        assert server.stats.failures == 0
+        assert server.stats()["failures"] == 0
         assert wait_until(lambda: EvalScope.live_count() == 0)
-    assert wait_until(
-        lambda: server.stats.sessions_opened == server.stats.sessions_closed)
+    assert wait_until(lambda: _balanced(server, "sessions"))

@@ -10,10 +10,12 @@ Server-side behaviours PR 10 added:
   the engine, so sessions never see each other's profiles);
 * the ``view`` op is frame-capped like ``stats``: oversized replies shed
   ``value`` first, then page the body via ``section``/``offset``;
-* admission outcomes and graceful drains feed the hub's counters.
+* admission outcomes and graceful drains are counted in the engine's
+  registry.
 
-Every op also answers on a hub-less server (``attached: false``) — the
-zero-recorder contract extends to the wire.
+The ``metrics`` op always answers with the engine's series; the ``trace``
+and ``stats`` hub sections answer ``attached: false`` on a hub-less
+server.
 """
 
 import pytest
@@ -28,6 +30,20 @@ DEFINE_DB = ('define DB == {[title = "perforin", year = 1989], '
              '[title = "bcr", year = 1992], '
              '[title = "exons", year = 1992]}')
 YEAR_QUERY = '{p.title | \\p <- DB, p.year = 1992}'
+
+#: Every metric name the exposition carried before counting moved into the
+#: engine's registry; each must still be rendered with a hub attached.
+STANDARD_NAMES = (
+    "repro_driver_request_seconds", "repro_chunk_rows",
+    "repro_server_queue_wait_seconds", "repro_query_spilled_bytes",
+    "repro_driver_requests_total", "repro_driver_failures_total",
+    "repro_retries_total", "repro_breaker_transitions_total",
+    "repro_queries_total", "repro_cancellations_total",
+    "repro_budget_rejections_total", "repro_spills_total",
+    "repro_server_admissions_immediate_total",
+    "repro_server_admissions_queued_total",
+    "repro_server_admissions_rejected_total", "repro_server_drains_total",
+)
 
 
 def _hub_server(**kwargs):
@@ -58,10 +74,12 @@ class TestMetricsOp:
     def test_exposition_contains_the_standard_instruments(self, client):
         client.query(YEAR_QUERY)
         reply = client.metrics()
-        assert reply["attached"] is True and reply["complete"] is True
+        assert reply["complete"] is True
         text = reply["text"]
         assert "# TYPE repro_queries_total counter" in text
         assert "# TYPE repro_driver_request_seconds histogram" in text
+        for name in STANDARD_NAMES:
+            assert f"# TYPE {name} " in text, name
         assert client.metrics_text() == text
 
     def test_oversized_exposition_pages_by_offset(self, client, monkeypatch):
@@ -74,10 +92,15 @@ class TestMetricsOp:
         assert first["next_offset"] == len(first["text"])
         assert client.metrics_text() == full
 
-    def test_hubless_server_answers_detached(self):
+    def test_hubless_server_serves_the_engine_series(self):
         with KleisliServer() as server, KleisliClient(server.address) as c:
-            reply = c.metrics()
-            assert reply["attached"] is False and reply["text"] == ""
+            c.run(DEFINE_DB)
+            c.query(YEAR_QUERY)
+            text = c.metrics()["text"]
+            assert "repro_server_queries_total 2\n" in text
+            assert "repro_server_admissions_immediate_total 2\n" in text
+            # the chunk-size histogram is the attached hub's
+            assert "repro_chunk_rows" not in text
 
     def test_bad_offset_is_a_typed_wire_error(self, client):
         from repro.core.errors import RemoteQueryError
@@ -158,12 +181,13 @@ class TestProfileOp:
 # -- stats sections -----------------------------------------------------------
 
 class TestStatsSections:
-    def test_observability_section_reports_the_hub(self, client):
+    def test_observability_section_reports_the_hub(self, hub_server, client):
+        server, _ = hub_server
         client.query(YEAR_QUERY)
         section = client.server_stats("observability")["observability"]
         assert section["attached"] is True
         assert section["tracer"]["finished"] >= 1
-        assert section["metric_count"] == 16
+        assert section["metric_count"] == len(server.engine.metrics.names())
 
     def test_slow_queries_section_lists_profiles(self, client):
         client.query(YEAR_QUERY)
@@ -181,17 +205,18 @@ class TestStatsSections:
 
 class TestServiceCounters:
     def test_immediate_admissions_are_counted(self, hub_server):
-        server, hub = hub_server
+        server, _ = hub_server
         with KleisliClient(server.address) as c:
             c.run(DEFINE_DB)
             c.query(YEAR_QUERY)
-        assert hub.admissions_immediate.value >= 2
+        metrics = server.engine.metrics
+        assert metrics.get("repro_server_admissions_immediate_total").value >= 2
 
     def test_graceful_stop_counts_one_drain(self):
-        server, hub = _hub_server()
+        server, _ = _hub_server()
         server.start()
         server.stop()
-        assert hub.drains.value == 1
+        assert server.engine.metrics.get("repro_server_drains_total").value == 1
 
 
 # -- the view frame cap -------------------------------------------------------

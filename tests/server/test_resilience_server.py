@@ -231,7 +231,7 @@ class TestChaosSoak:
             assert wait_until(
                 lambda: EvalScope.live_count() == baseline_scopes), \
                 "EvalScopes leaked by the soak"
-            stats = server.stats.snapshot()
+            stats = server.stats()
             assert stats["sessions_opened"] == stats["sessions_closed"] \
                 == self.CLIENTS
             assert stats["cursors_opened"] == stats["cursors_closed"] > 0

@@ -197,7 +197,7 @@ class TestCursors:
             values = list(client.stream('{x | \\x <- Faulty(5)}', batch=2))
             assert values == [0, 1, 2, 3, 4]
             assert driver.open_cursors == 0
-            stats = server.stats.snapshot()
+            stats = server.stats()
             assert stats["cursors_opened"] == stats["cursors_closed"] == 1
 
     def test_fetch_after_done_reports_unknown_cursor(self):
@@ -220,7 +220,7 @@ class TestCursors:
             assert driver.open_cursors == 1
             stream.close()
             assert wait_until(lambda: driver.open_cursors == 0)
-            stats = server.stats.snapshot()
+            stats = server.stats()
             assert stats["cursors_opened"] == stats["cursors_closed"] == 1
 
     def test_dirty_disconnect_closes_only_that_sessions_cursors(self):
@@ -244,7 +244,7 @@ class TestCursors:
             survivor.close()
         assert wait_until(lambda: driver.open_cursors == 0)
         assert EvalScope.live_count() == baseline_scopes, "leaked EvalScope"
-        stats = server.stats.snapshot()
+        stats = server.stats()
         assert stats["cursors_opened"] == stats["cursors_closed"] == 2
         assert stats["sessions_opened"] == stats["sessions_closed"] == 2
 
@@ -262,7 +262,7 @@ class TestAdmission:
             assert next(stream) == 0  # the open cursor holds the only slot
             with pytest.raises(ServerOverloadedError):
                 client.query('{x | \\x <- Faulty(3)}')
-            assert server.stats.rejections == 1
+            assert server.stats()["rejections"] == 1
             stream.close()  # frees the slot ...
             assert client.query('{x | \\x <- Faulty(3)}') == CSet([0, 1, 2])
             assert client.last_admission == "immediate"
@@ -282,14 +282,14 @@ class TestAdmission:
 
             thread = threading.Thread(target=blocked_query)
             thread.start()
-            assert wait_until(lambda: server.stats.queued == 1), \
+            assert wait_until(lambda: server.stats()["queued"] == 1), \
                 "waiter never queued"
             assert not outcome, "query finished while the slot was held"
             stream.close()
             thread.join(timeout=10.0)
             assert outcome["value"] == CSet([0, 1, 2])
             assert outcome["admission"] == "queued"
-            assert server.stats.rejections == 0
+            assert server.stats()["rejections"] == 0
 
     def test_queue_timeout_rejects_with_typed_error(self):
         server, _ = _cursor_server(max_concurrent_queries=1,
@@ -299,7 +299,7 @@ class TestAdmission:
             assert next(stream) == 0
             with pytest.raises(ServerOverloadedError, match="no in-flight"):
                 client.query('{x | \\x <- Faulty(3)}')
-            assert server.stats.rejections == 1
+            assert server.stats()["rejections"] == 1
             stream.close()
 
     def test_session_cap_refuses_the_extra_connection(self):
@@ -313,7 +313,7 @@ class TestAdmission:
                         second.hello()
                 finally:
                     second.kill()
-                assert server.stats.sessions_refused == 1
+                assert server.stats()["sessions_refused"] == 1
                 # The admitted session is unaffected.
                 assert first.query('{x | \\x <- Faulty(2)}') == CSet([0, 1])
             # ... and once it leaves, a new connection is admitted.
@@ -390,4 +390,4 @@ class TestStats:
             assert info.value.error_type == "DriverError"
             # Recovery: the same session retries and succeeds.
             assert client.query('{x | \\x <- Faulty(3)}') == CSet([0, 1, 2])
-            assert server.stats.failures == 1
+            assert server.stats()["failures"] == 1
