@@ -90,7 +90,7 @@ def _dedup_chain(count=ROWS, distinct=None):
 
 def _drain(engine, expr, **kwargs):
     started = time.perf_counter()
-    count = sum(1 for _ in engine.stream(expr, optimize=False, chunked=True,
+    count = sum(1 for _ in engine.stream(expr, optimize=False,
                                          **kwargs))
     return count, time.perf_counter() - started
 

@@ -179,7 +179,7 @@ def _shaping_chain():
 
 def _drain(engine, expr):
     started = time.perf_counter()
-    count = sum(1 for _ in engine.stream(expr, optimize=False, chunked=True))
+    count = sum(1 for _ in engine.stream(expr, optimize=False))
     return count, time.perf_counter() - started
 
 

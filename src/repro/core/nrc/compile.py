@@ -51,10 +51,10 @@ often the handoff happened at run time.  Both execution modes share the same
 statistics), so compiled and interpreted fragments interoperate freely —
 including closures crossing the boundary in either direction.
 
-Eager vs streaming vs chunked lowering
---------------------------------------
+Eager vs streaming lowering
+---------------------------
 
-The module offers **three lowering targets** over the same node registry
+The module offers **two lowering targets** over the same node registry
 discipline:
 
 * :func:`compile_term` — the eager backend: every closure returns a fully
@@ -62,32 +62,28 @@ discipline:
   is the fastest way to produce a *whole* result, and the only correct way
   to produce a value that outlives the evaluation (results are plain
   collections, never half-consumed cursors).
-* :func:`compile_stream` — the pull-based backend: nodes with a registered
-  stream compiler (see :func:`register_stream_compiler`) become generator
-  pipeline stages that yield elements as they are produced.  It minimizes
-  time-to-first-result and peak intermediate memory by overlapping remote
-  I/O with downstream consumption (Section 4's "laziness in strategic
-  places").
-* :func:`compile_chunked` — the morsel-at-a-time backend: stages exchange
-  *lists* of at most K elements instead of single elements, and adjacent
+* :func:`compile_chunked` — the streaming backend: nodes with a registered
+  chunk compiler (see :func:`register_chunk_compiler`) become generator
+  pipeline stages that exchange *lists* of at most K elements, and adjacent
   map/filter stages fuse into tight per-chunk loops.  This is what
-  ``KleisliEngine.stream`` uses by default in compiled mode: it keeps the
-  per-element backend's asymptotics (laziness, bounded buffering, scope-
-  managed cursors) while removing the per-element generator-frame overhead
-  that dominates local in-memory pipelines.  See "Chunked semantics" below.
+  ``KleisliEngine.stream`` uses in compiled mode.  The first chunk is one
+  source element, so it minimizes time-to-first-result and peak
+  intermediate memory by overlapping remote I/O with downstream consumption
+  (Section 4's "laziness in strategic places"), while steady-state
+  throughput gets full-size chunks.  See "Chunked semantics" below.
 
 Selection is per *call site* (``execute`` vs ``stream``), then per *node*
-within a streamed pipeline: ``Ext`` chains, filters, ``Let``/``IfThenElse``,
-``Scan`` and the probe side of ``Join`` stream natively (set-kind stages
-dedup as they go); everything whose semantics require the whole value —
-``Fold``, the build side of joins, scalar operators — drops to the eager
-closure for that subtree and the pipeline yields from its materialized
-result.  Those eager sections are reported in
-``CompiledStream.eager_nodes`` and counted by
-``EvalStatistics.stream_fallbacks``.  ``Cached`` is a special case: it is a
-*deliberate* materialization point (the subquery cache stores whole
-collections), so the pipeline yields from the cached value without
-reporting a fallback.
+within a streamed pipeline: ``Ext`` chains, filter chains,
+``Let``/``IfThenElse``, ``Scan`` and the probe side of ``Join`` stream
+natively (set-kind stages dedup as they go); everything whose semantics
+require the whole value — ``Fold``, the build side of joins, scalar
+operators — drops to the eager closure for that subtree and the pipeline
+chunks its materialized result.  Those eager sections are reported in
+``CompiledChunkedStream.eager_nodes`` and counted by
+``EvalStatistics.stream_fallbacks``.  Leaves — a bound variable, a literal,
+a field of a bound variable and ``Cached`` (a *deliberate* materialization
+point: the subquery cache stores whole collections) — are chunked from
+their value without reporting a fallback.
 
 Streaming semantics
 -------------------
@@ -97,7 +93,7 @@ value, at O(1)-per-element cost:
 
 * **Set dedup-as-you-go** — ``CSet`` iterates in first-occurrence insertion
   order, so a set-kind stage that suppresses repeats incrementally
-  (:func:`_dedup_set_stream`) yields exactly the eager set's element
+  (:func:`_dedup_set_chunks`) yields exactly the eager set's element
   sequence at O(distinct) memory.
 * **The kind proof** — ``Union`` streams as a chained pipeline (left
   operand's elements, then the right's, under one shared set seen-filter)
@@ -108,12 +104,12 @@ value, at O(1)-per-element cost:
   a ``Scan`` whose driver controls the result class, a ``Cached`` value, a
   proven kind *mismatch*) fall back to the eager ``union_like`` section so
   they keep raising exactly where ``execute`` raises.
-* **Per-element join probing** — the probe (outer) side of both join
-  methods streams; the build side must materialize.  An indexed join probes
-  its hash index per outer element; a blocked join yields per outer *block*,
-  except ``block_size == 1`` (what the optimizer emits under the streaming
-  hint, see ``OptimizerConfig.streaming``), where the inner side is
-  materialized once and probed per outer element.
+* **Join probing** — the probe (outer) side of both join methods streams;
+  the build side must materialize.  An indexed join probes its hash index
+  per outer element; a blocked join yields per outer *block*, except
+  ``block_size == 1`` (what the optimizer emits under the streaming hint,
+  see ``OptimizerConfig.streaming``), where the inner side is materialized
+  once and probed per outer element.
 
 Eager sections remain exactly where the whole value is semantically
 required: ``Fold`` (the accumulator consumes every element), the build side
@@ -125,38 +121,32 @@ position.
 Chunked semantics
 -----------------
 
-The chunked lowering (:func:`compile_chunked`, registry
+The streaming lowering (:func:`compile_chunked`, registry
 :func:`register_chunk_compiler`) obeys three rules of its own on top of the
 streaming rules above:
 
-* **Parity** — a drained chunked run yields exactly the element sequence of
-  ``execute``'s result (and of the per-element stream), and agrees on
-  ``EvalStatistics.elements_fetched``.  Chunk sizes are value-invisible:
-  dedup-as-you-go carries its seen-set *across* chunk boundaries, the typed
-  union's shared seen-filter and the join probes have chunk-wise forms, and
-  fused map/filter stages preserve per-stage ``ext_iterations`` accounting.
-  Partial-progress counters on a *failing* run may differ from the
-  per-element stream's (a chunk stage processes its chunk through one stage
-  before the next), just as the eager backend's already do.
+* **Parity** — a drained run yields exactly the element sequence of
+  ``execute``'s result and agrees on ``EvalStatistics.elements_fetched``.
+  Chunk sizes are value-invisible: dedup-as-you-go carries its seen-set
+  *across* chunk boundaries, the typed union's shared seen-filter and the
+  join probes have chunk-wise forms, and fused map/filter stages preserve
+  per-stage ``ext_iterations`` accounting.  Partial-progress counters on a
+  *failing* run may differ from the eager backend's (a chunk stage
+  processes its chunk through one stage before the next).
 * **The ramp** — chunk sizes start at 1 and double per chunk up to the
   :class:`ChunkPolicy` maximum (read from ``EvalContext.chunk_policy`` at
   run time, so compiled pipelines stay cacheable by term fingerprint).
-  The first chunk therefore costs one source element: time-to-first-result
-  matches the per-element stream, while steady-state throughput gets full-
-  size chunks.  Remote drivers (``ChunkPolicy.sizes_for``) keep a smaller
-  maximum so a chunk never buffers more than a bounded slice of a slow
-  cursor; abandoning a pipeline mid-chunk still releases every cursor —
-  including those behind buffered-but-unconsumed chunk elements — through
-  the same :class:`~repro.core.nrc.eval.EvalScope` as the per-element
-  stream.
-* **The fallback surface** — node types without a chunk compiler run at
-  per-element granularity inside the chunked pipeline (the existing stream
-  lowering, re-chunked for downstream stages): correct, just not
-  vectorized.  Those stages are named in
-  ``CompiledChunkedStream.scalar_stages`` and counted at run time by
-  ``EvalStatistics.scalar_stages``; nodes with no stream lowering either
-  keep falling through to eager sections (``stream_fallbacks``), exactly as
-  in the per-element backend.
+  The first chunk therefore costs one source element, while steady-state
+  throughput gets full-size chunks.  Remote drivers
+  (``ChunkPolicy.sizes_for``) keep a smaller maximum so a chunk never
+  buffers more than a bounded slice of a slow cursor; abandoning a pipeline
+  mid-chunk still releases every cursor — including those behind
+  buffered-but-unconsumed chunk elements — through the run's
+  :class:`~repro.core.nrc.eval.EvalScope`.
+* **The fallback surface** — node types without a chunk compiler run as
+  eager sections inside the pipeline (:func:`_chunk_via_eager`): correct,
+  just not lazy.  They are named in ``CompiledChunkedStream.eager_nodes``
+  and counted at run time by ``EvalStatistics.stream_fallbacks``.
 
 An ``Ext`` whose body is a ``Scan`` depending on the loop variable
 additionally batches its driver fetches: one
@@ -218,11 +208,11 @@ Failure semantics
 -----------------
 
 Compiled code contains **no fault handling**: every scan site — the eager
-closure, the per-element stream, and the chunked batch fetch — routes
-through ``EvalContext.driver_executor`` / ``driver_executor_batch``, and
-the resilience layer (:mod:`repro.kleisli.resilience`) lives behind that
-one choke point, so the three lowerings inherit identical failure
-behavior without any lowering-specific code:
+closure, the chunked scan and the chunked batch fetch — routes through
+``EvalContext.driver_executor`` / ``driver_executor_batch``, and the
+resilience layer (:mod:`repro.kleisli.resilience`) lives behind that one
+choke point, so both lowerings inherit identical failure behavior without
+any lowering-specific code:
 
 * **Pre-open faults** (the request itself fails): retried per the
   driver's :class:`~repro.kleisli.resilience.RetryPolicy` with
@@ -266,8 +256,7 @@ zero-statistics and PR 8's zero-knowledge contracts).
 
 * **Checkpoint placement** (``EvalContext.cancellation``): cancellation is
   *cooperative* — the token is checked at every natural scheduling point and
-  never interrupts mid-value.  The checkpoints are: the per-element pump of
-  ``CompiledStream`` (one check per yielded element), the chunk boundaries
+  never interrupts mid-value.  The checkpoints are: the chunk boundaries
   of ``CompiledChunkedStream``'s pump (one check per chunk), the loop heads
   of the eager ``Ext``/``Fold`` closures (and their interpreter twins), and
   pre-driver-dispatch in ``KleisliEngine.driver_executor`` /
@@ -295,7 +284,7 @@ zero-statistics and PR 8's zero-knowledge contracts).
   bounded-memory by construction, so they do not charge the budget.
 * **Parity rules**: spilled execution is bit-for-bit the in-memory
   execution — same values, same order, same ``elements_fetched`` — across
-  all three lowerings (the spill backends preserve append order and exact
+  both lowerings (the spill backends preserve append order and exact
   dedup under hash collisions), and governance never changes *what* a
   query computes, only whether it is allowed to finish and where its
   intermediates live.
@@ -313,7 +302,7 @@ the pre-observability code paths (differential-pinned by the test suite).
 
 * **Span sources** (``EvalContext.trace``): ``driver_executor`` opens one
   ``driver`` span per remote request and ``driver_executor_batch`` one
-  ``driver-batch`` span per native batch — the spans all three lowerings
+  ``driver-batch`` span per native batch — the spans both lowerings
   share, since every remote round trip funnels through those two methods.
   ``EvalContext.evaluation_scope`` brackets the run in a ``scope`` span
   (closed on success *and* on the fault path), and the resilience layer
@@ -326,8 +315,8 @@ the pre-observability code paths (differential-pinned by the test suite).
   sink — when one exists — sees the identical call stream.  Forcing the
   tee routes the pump through its probe-timed branch, which is
   value-identical to the fast branch by the probe-neutrality pin.  The
-  eager and per-element lowerings have no chunk boundaries; their
-  per-stage story is the per-driver fold of their trace spans.
+  eager lowering has no chunk boundaries; its per-stage story is the
+  per-driver fold of its trace spans.
 * **Cardinality**: EXPLAIN ANALYZE reports the physical plan's estimate
   next to the actual row count; on the eager path (which builds no
   physical plan) the estimate is recomputed observation-only from the
@@ -382,11 +371,10 @@ from .prims import (
 from .structural import proven_collection_kind
 
 __all__ = [
-    "ExecutionMode", "CompiledQuery", "CompiledClosure", "CompiledStream",
-    "CompiledChunkedStream", "ChunkPolicy", "compile_term", "compile_stream",
-    "compile_chunked", "register_compiler", "register_stream_compiler",
-    "register_chunk_compiler", "supported_node_types",
-    "streamable_node_types", "chunkable_node_types", "term_fingerprint",
+    "ExecutionMode", "CompiledQuery", "CompiledClosure",
+    "CompiledChunkedStream", "ChunkPolicy", "compile_term",
+    "compile_chunked", "register_compiler", "register_chunk_compiler",
+    "supported_node_types", "chunkable_node_types", "term_fingerprint",
 ]
 
 _COLLECTIONS = (CSet, CBag, CList)
@@ -474,18 +462,15 @@ class _CompileState:
 
     ``fallbacks`` names subtrees delegated to the tree-walking interpreter
     (no eager compiler); ``eager`` names subtrees of a *streaming* lowering
-    that had no pull-based form and were lowered eagerly instead; ``scalar``
-    names subtrees of a *chunked* lowering that had no chunk-wise form and
-    run at per-element granularity inside the chunked pipeline.
+    that had no chunk-wise form and were lowered eagerly instead.
     """
 
-    __slots__ = ("n_free", "fallbacks", "eager", "scalar")
+    __slots__ = ("n_free", "fallbacks", "eager")
 
     def __init__(self, n_free: int):
         self.n_free = n_free
         self.fallbacks: List[str] = []
         self.eager: List[str] = []
-        self.scalar: List[str] = []
 
 
 _Scope = Tuple[str, ...]
@@ -762,35 +747,48 @@ def _compile_union(expr: A.Union, scope, state):
     return run
 
 
-def _filter_shape(body: A.Expr) -> Optional[Tuple[bool, A.Expr]]:
-    """Detect the desugarer's filter shape in a loop body.
+def _filter_shape(body: A.Expr) -> Optional[Tuple[tuple, A.Expr]]:
+    """Detect the desugarer's filter chain in a loop body.
 
-    Returns ``(emit_when, value_expr)`` for ``if c then Singleton(e) else
-    Empty`` and its mirror, else ``None``.  Shared by the eager body emitter
-    and the streaming body compiler so the two lowerings can never diverge
-    on which bodies qualify.
+    A comprehension's conditions desugar to nested ``if c then ... else
+    Empty`` (or the mirror, ``if c then Empty else ...``) around one
+    ``Singleton(e)``.  Returns ``(conditions, e)`` with ``conditions`` the
+    ``(emit_when, c)`` pairs outermost first, else ``None``.  A chain is
+    tested in order and stops at the first failing pair — short-circuit,
+    not a strict ``and``: a later condition may be ill-typed exactly when
+    an earlier one fails.  Shared by the eager body emitter and the chunked
+    ``Ext`` fusion so the two lowerings never diverge on which bodies
+    qualify.
     """
-    if type(body) is not A.IfThenElse:
+    conditions = []
+    node = body
+    while type(node) is A.IfThenElse:
+        if type(node.else_branch) is A.Empty:
+            conditions.append((True, node.cond))
+            node = node.then_branch
+        elif type(node.then_branch) is A.Empty:
+            conditions.append((False, node.cond))
+            node = node.else_branch
+        else:
+            return None
+    if not conditions or type(node) is not A.Singleton:
         return None
-    then_branch, else_branch = body.then_branch, body.else_branch
-    if type(then_branch) is A.Singleton and type(else_branch) is A.Empty:
-        return (True, then_branch.expr)
-    if type(then_branch) is A.Empty and type(else_branch) is A.Singleton:
-        return (False, else_branch.expr)
-    return None
+    return tuple(conditions), node.expr
 
 
-def _compile_body_emitter(body: A.Expr, scope: _Scope, state: _CompileState):
+def _compile_body_emitter(body: A.Expr, scope: _Scope, state: _CompileState,
+                          chunked: bool = False):
     """Compile a loop body into ``emit(frame, context, elements)``.
 
     The generic form evaluates the body to a collection and splices its
-    elements in.  Two shapes the desugarer and the rewrite rules produce for
-    nearly every comprehension get specialized emitters that never build the
-    intermediate one-element collection:
+    elements in (with ``chunked``, the body's chunk pipeline is drained
+    instead of its eager value).  Two shapes the desugarer and the rewrite
+    rules produce for nearly every comprehension get specialized emitters
+    that never build the intermediate one-element collection:
 
     * ``Singleton(e)`` — append ``e`` directly;
-    * ``if c then Singleton(e) else Empty`` (a filter) and its mirror —
-      test, then append directly.
+    * a filter chain (see :func:`_filter_shape`) — test the conditions in
+      order, then append directly.
     """
     if type(body) is A.Singleton:
         value_fn = _compile(body.expr, scope, state)
@@ -800,18 +798,37 @@ def _compile_body_emitter(body: A.Expr, scope: _Scope, state: _CompileState):
 
         return emit_singleton
 
-    if type(body) is A.IfThenElse:
-        filter_shape = _filter_shape(body)
-        if filter_shape is not None:
-            emit_when, value_expr = filter_shape
-            cond_fn = _compile(body.cond, scope, state)
-            value_fn = _compile(value_expr, scope, state)
+    filter_shape = _filter_shape(body)
+    if filter_shape is not None:
+        conditions, value_expr = filter_shape
+        tests = tuple((_compile(cond, scope, state), emit_when)
+                      for emit_when, cond in conditions)
+        value_fn = _compile(value_expr, scope, state)
+        if len(tests) == 1:
+            (cond_fn, emit_when), = tests
 
             def emit_filter(frame, context, elements):
                 if _require_bool(cond_fn(frame, context)) is emit_when:
                     elements.append(value_fn(frame, context))
 
             return emit_filter
+
+        def emit_chain(frame, context, elements):
+            for cond_fn, emit_when in tests:
+                if _require_bool(cond_fn(frame, context)) is not emit_when:
+                    return
+            elements.append(value_fn(frame, context))
+
+        return emit_chain
+
+    if chunked:
+        chunks_fn = _compile_chunk(body, scope, state)
+
+        def emit_chunks(frame, context, elements):
+            for chunk in chunks_fn(frame, context):
+                elements.extend(chunk)
+
+        return emit_chunks
 
     body_fn = _compile(body, scope, state)
 
@@ -1263,652 +1280,20 @@ def compile_term(term: A.Expr) -> CompiledQuery:
 
 
 # ---------------------------------------------------------------------------
-# Streaming (pull-based) lowering
-# ---------------------------------------------------------------------------
-#
-# The second lowering target: instead of a closure returning a materialized
-# collection, each node becomes a *generator pipeline* stage yielding
-# elements as they are produced.  ``Ext``-of-``Ext`` chains, filters,
-# the probe side of hash joins, ``Union`` under a kind proof and
-# ``ParallelExt`` (registered in repro.core.optimizer.parallel) all pull
-# from their source incrementally, so the first result of a remote-scan
-# comprehension arrives after O(1) source elements.  Set-kind loop/join/
-# union stages dedup as they go (see _dedup_set_stream), matching the eager
-# CSet element-for-element.  Nodes with no pull-based form (Fold, PrimCall,
-# arbitrary bodies, Union operands whose collection kind cannot be
-# statically proven) are lowered *eagerly* inside the pipeline; those
-# sections are named in ``CompiledStream.eager_nodes`` and counted at run
-# time by ``EvalStatistics.stream_fallbacks``, mirroring the eager
-# backend's interpreter fallback.
-
-_StreamFn = Callable[[list, EvalContext], object]
-_STREAM_COMPILERS: Dict[Type[A.Expr], Callable[[A.Expr, _Scope, _CompileState], _StreamFn]] = {}
-
-
-def register_stream_compiler(node_type: Type[A.Expr]):
-    """Register a pull-based (generator) lowering for an AST node type.
-
-    Same exact-type dispatch contract as :func:`register_compiler`.  The
-    registered function compiles ``expr`` to a *generator function*
-    ``stream(frame, context)`` whose iterator yields the element sequence of
-    the node's collection value; no work (including driver requests) may
-    happen before the first ``next()``.
-    """
-
-    def decorator(function):
-        _STREAM_COMPILERS[node_type] = function
-        return function
-
-    return decorator
-
-
-def streamable_node_types() -> Tuple[str, ...]:
-    """Names of node types with a native pull-based lowering."""
-    return tuple(sorted(cls.__name__ for cls in _STREAM_COMPILERS))
-
-
-def _iterate_streamed(value: object, context: EvalContext):
-    """Iterate a collection or lazy stream produced by an eager section.
-
-    Accepts exactly what :func:`~repro.core.nrc.eval.iterate_source` accepts
-    (any iterable), so a term legal as a generator source under the eager
-    backend is legal under the streaming one.  Lazy cursors that are not
-    already scope-registered (``_CountingStream`` registers itself at
-    creation) are registered with the active scope so an abandoned pipeline
-    releases them deterministically.
-    """
-    if isinstance(value, _COLLECTIONS):
-        return iter(value)
-    if hasattr(value, "__iter__"):
-        if not isinstance(value, _CountingStream):
-            scope = context.scope
-            if scope is not None and hasattr(value, "close"):
-                scope.register(value)
-                return _unregistering_iter(value, scope)
-        return iter(value)
-    raise EvaluationError(
-        f"generator source must be a collection, got {type(value).__name__}"
-    )
-
-
-def _unregistering_iter(value: object, scope):
-    """Iterate a scope-registered cursor, unregistering it when drained.
-
-    Mirrors ``_CountingStream``'s self-unregistration: on natural
-    exhaustion the scope stops tracking the dead cursor (so a long pipeline
-    does not pin one per occurrence); on abandonment the ``yield from``
-    never completes and the scope's close still reaches it.
-    """
-    yield from iter(value)
-    scope.unregister(value)
-
-
-def _compile_stream(expr: A.Expr, scope: _Scope, state: _CompileState) -> _StreamFn:
-    compiler = _STREAM_COMPILERS.get(type(expr))
-    if compiler is None:
-        return _stream_via_eager(expr, scope, state)
-    return compiler(expr, scope, state)
-
-
-def _stream_via_eager(expr: A.Expr, scope: _Scope, state: _CompileState) -> _StreamFn:
-    """Evaluate a non-streamable subtree eagerly, then yield its elements."""
-    state.eager.append(type(expr).__name__)
-    fn = _compile(expr, scope, state)
-
-    def stream(frame, context):
-        context.statistics.stream_fallbacks += 1
-        yield from _iterate_streamed(fn(frame, context), context)
-
-    return stream
-
-
-def _stream_leaf(expr: A.Expr, scope: _Scope, state: _CompileState) -> _StreamFn:
-    """A leaf in source position: evaluate (cheap), iterate lazily.
-
-    Unlike :func:`_stream_via_eager` this is not a fallback — a bound
-    collection or constant has no cheaper pull-based form — so it is not
-    counted in ``eager_nodes``/``stream_fallbacks``.
-    """
-    fn = _compile(expr, scope, state)
-
-    def stream(frame, context):
-        yield from _iterate_streamed(fn(frame, context), context)
-
-    return stream
-
-
-register_stream_compiler(A.Var)(_stream_leaf)
-register_stream_compiler(A.Const)(_stream_leaf)
-
-
-@register_stream_compiler(A.Empty)
-def _stream_empty(expr: A.Empty, scope, state):
-    def stream(frame, context):
-        return
-        yield  # pragma: no cover - makes this a generator function
-
-    return stream
-
-
-@register_stream_compiler(A.Singleton)
-def _stream_singleton(expr: A.Singleton, scope, state):
-    value_fn = _compile(expr.expr, scope, state)
-
-    def stream(frame, context):
-        yield value_fn(frame, context)
-
-    return stream
-
-
-@register_stream_compiler(A.Union)
-def _stream_union(expr: A.Union, scope, state):
-    """The typed streaming union: chain the operand streams under a kind proof.
-
-    ``union_like`` both deduplicates (sets) and type-checks the two
-    operands' collection classes (all kinds).  When the static kind proof
-    (:func:`~repro.core.nrc.structural.proven_collection_kind`) guarantees
-    both operands produce this union's collection class, the run-time check
-    is redundant and the union pipelines: the left operand's elements, then
-    the right's — for sets under one seen-filter carried across both
-    operands, which matches ``left.union(right)``'s first-occurrence order
-    exactly (bag/list union is concatenation, so chaining is the semantics).
-
-    Without a proof for either operand (a bound ``Var``, a ``Scan``, a
-    ``Cached`` value — or a *provable mismatch*), the union stays an eager
-    ``union_like`` section: chaining would silently accept terms ``execute``
-    rejects.
-    """
-    kind = expr.kind
-    if (proven_collection_kind(expr.left) != kind
-            or proven_collection_kind(expr.right) != kind):
-        return _stream_via_eager(expr, scope, state)
-    left_fn = _compile_stream(expr.left, scope, state)
-    right_fn = _compile_stream(expr.right, scope, state)
-    if kind == "set":
-        # The union's own seen-filter below provides all the dedup the
-        # chain needs, so operands that dedup on their own (set-kind
-        # Ext/Join/ParallelExt, nested unions) are unwrapped to their raw
-        # stages — an N-level union chain then carries exactly one seen-set
-        # instead of N+1 (operands without the wrapper stream as-is).
-        left_fn = getattr(left_fn, "undeduped", left_fn)
-        right_fn = getattr(right_fn, "undeduped", right_fn)
-
-    def stream(frame, context):
-        yield from left_fn(frame, context)
-        yield from right_fn(frame, context)
-
-    if kind == "set":
-        return _dedup_set_stream(stream)
-    return stream
-
-
-@register_stream_compiler(A.IfThenElse)
-def _stream_if(expr: A.IfThenElse, scope, state):
-    cond_fn = _compile(expr.cond, scope, state)
-    then_fn = _compile_stream(expr.then_branch, scope, state)
-    else_fn = _compile_stream(expr.else_branch, scope, state)
-
-    def stream(frame, context):
-        if _require_bool(cond_fn(frame, context)):
-            yield from then_fn(frame, context)
-        else:
-            yield from else_fn(frame, context)
-
-    return stream
-
-
-@register_stream_compiler(A.Let)
-def _stream_let(expr: A.Let, scope, state):
-    value_fn = _compile(expr.value, scope, state)
-    body_fn = _compile_stream(expr.body, scope + (expr.var,), state)
-
-    def stream(frame, context):
-        yield from body_fn(_extended(frame, value_fn(frame, context)), context)
-
-    return stream
-
-
-@register_stream_compiler(A.Scan)
-def _stream_scan(expr: A.Scan, scope, state):
-    run = _compile_scan(expr, scope, state)
-
-    def stream(frame, context):
-        # The request fires on first next(); a lazy cursor is registered with
-        # the evaluation scope inside the eager scan closure (scan_stream).
-        yield from _iterate_streamed(run(frame, context), context)
-
-    return stream
-
-
-# A Cached node is a deliberate materialization point: the subquery cache
-# stores whole collections (cache_payload), so the pipeline evaluates it
-# eagerly (hitting the cache) and yields from the cached value — exactly
-# the leaf treatment, and likewise not counted as a fallback.
-register_stream_compiler(A.Cached)(_stream_leaf)
-
-
-class _BudgetedSeenSet:
-    """A dedup seen-set that charges the run's memory budget as it grows.
-
-    Charges are quantum-batched (one hierarchical budget walk per
-    :data:`QUANTUM` distinct elements, not per element) so the dedup hot
-    path pays one counter increment per element; the at-most-one-quantum
-    under-charge at stream end is bounded and released with the budget.
-    """
-
-    QUANTUM = 256
-
-    __slots__ = ("_set", "_budget", "_pending")
-
-    def __init__(self, budget):
-        self._set: set = set()
-        self._budget = budget
-        self._pending = 0
-
-    def __contains__(self, value) -> bool:
-        return value in self._set
-
-    def add(self, value) -> None:
-        before = len(self._set)
-        self._set.add(value)
-        if len(self._set) != before:
-            self._pending += 1
-            if self._pending >= self.QUANTUM:
-                self._budget.charge_elements(self._pending)
-                self._pending = 0
-
-    def __len__(self) -> int:
-        return len(self._set)
-
-
-def _make_seen_set(context: EvalContext):
-    """The seen-set for a set-kind dedup stage (governed materialization point).
-
-    Plain ``set()`` ungoverned (the zero-governance path), a disk-backed
-    :class:`~repro.kleisli.spill.GovernedSeenSet` under a spill manager
-    (bounded memory, exact dedup), a budget-charging set under a budget
-    alone.  All three satisfy the ``in``/``add`` protocol the dedup loops
-    use, so chunk sizes and values stay identical across the backends.
-    """
-    spill = context.spill
-    if spill is not None:
-        return spill.seen_set()
-    budget = context.memory_budget
-    if budget is not None:
-        return _BudgetedSeenSet(budget)
-    return set()
-
-
-def _dedup_set_stream(stream_fn: _StreamFn) -> _StreamFn:
-    """Dedup-as-you-go for set-kind pipelines.
-
-    ``CSet`` iterates in first-occurrence insertion order, so suppressing
-    repeats incrementally yields *exactly* the element sequence of the
-    eagerly built set — laziness preserved, at O(distinct elements) memory
-    (no worse than the eager result itself).
-
-    The wrapper remembers the raw stage (``undeduped``) so an enclosing
-    set-kind union can chain operand streams under ONE shared seen-filter:
-    filtering the raw concatenation yields the same first-occurrence
-    sequence as filtering pre-deduped operands, at one hash probe and one
-    live seen-set per element instead of one per pipeline layer.
-    """
-
-    def stream(frame, context):
-        seen = _make_seen_set(context)
-        for element in stream_fn(frame, context):
-            if element not in seen:
-                seen.add(element)
-                yield element
-
-    stream.undeduped = stream_fn
-    return stream
-
-
-def _compile_stream_body(body: A.Expr, scope: _Scope, state: _CompileState):
-    """Compile a loop body for streaming: ``('value', fn)``, ``('filter',
-    (cond_fn, value_fn, emit_when))`` or ``('stream', stream_fn)``.
-
-    Mirrors :func:`_compile_body_emitter`'s specializations so the common
-    ``Singleton``/filter bodies cost one closure call per element instead of
-    a nested generator.
-    """
-    if type(body) is A.Singleton:
-        return ("value", _compile(body.expr, scope, state))
-    filter_shape = _filter_shape(body)
-    if filter_shape is not None:
-        emit_when, value_expr = filter_shape
-        cond_fn = _compile(body.cond, scope, state)
-        value_fn = _compile(value_expr, scope, state)
-        return ("filter", (cond_fn, value_fn, emit_when))
-    return ("stream", _compile_stream(body, scope, state))
-
-
-@register_stream_compiler(A.Ext)
-def _stream_ext(expr: A.Ext, scope, state):
-    source_fn = _compile_stream(expr.source, scope, state)
-    mode, body = _compile_stream_body(expr.body, scope + (expr.var,), state)
-    slot = len(scope)
-
-    if mode == "value":
-        value_fn = body
-
-        def stream_fn(frame, context):
-            stats = context.statistics
-            loop_frame = _extended(frame, None)
-            for item in source_fn(frame, context):
-                stats.ext_iterations += 1
-                loop_frame[slot] = item
-                yield value_fn(loop_frame, context)
-
-    elif mode == "filter":
-        cond_fn, value_fn, emit_when = body
-
-        def stream_fn(frame, context):
-            stats = context.statistics
-            loop_frame = _extended(frame, None)
-            for item in source_fn(frame, context):
-                stats.ext_iterations += 1
-                loop_frame[slot] = item
-                if _require_bool(cond_fn(loop_frame, context)) is emit_when:
-                    yield value_fn(loop_frame, context)
-
-    else:
-        body_fn = body
-
-        def stream_fn(frame, context):
-            stats = context.statistics
-            # The loop frame is safely reused across iterations: the body's
-            # element stream for item N is exhausted before item N+1 is
-            # pulled, and escaping closures snapshot the frame at creation.
-            loop_frame = _extended(frame, None)
-            for item in source_fn(frame, context):
-                stats.ext_iterations += 1
-                loop_frame[slot] = item
-                yield from body_fn(loop_frame, context)
-
-    if expr.kind == "set":
-        return _dedup_set_stream(stream_fn)
-    return stream_fn
-
-
-def _stream_join_emit(mode, body, pair_frame, context):
-    """Yield the body elements for one matched pair (streaming join helper)."""
-    if mode == "value":
-        yield body(pair_frame, context)
-    elif mode == "filter":
-        cond_fn, value_fn, emit_when = body
-        if _require_bool(cond_fn(pair_frame, context)) is emit_when:
-            yield value_fn(pair_frame, context)
-    else:
-        yield from body(pair_frame, context)
-
-
-@register_stream_compiler(A.Join)
-def _stream_join(expr: A.Join, scope, state):
-    """Stream the probe (outer) side of a join; the build side materializes.
-
-    The asymmetry is inherent: an indexed join's hash index (and a blocked
-    join's per-block inner rescan) needs the whole inner collection, but the
-    outer side can be consumed element-by-element (indexed) or block-by-block
-    (blocked), so results flow before the outer source is exhausted.
-    """
-    outer_fn = _compile_stream(expr.outer, scope, state)
-    inner_fn = _compile(expr.inner, scope, state)
-    pair_scope = scope + (expr.outer_var, expr.inner_var)
-    mode, body = _compile_stream_body(expr.body, pair_scope, state)
-    cond_fn = None
-    if expr.condition is not None:
-        cond_fn = _compile(expr.condition, pair_scope, state)
-    outer_slot = len(scope)
-    inner_slot = outer_slot + 1
-
-    if expr.method == "indexed":
-        if expr.outer_key is None or expr.inner_key is None:
-            def broken(frame, context):
-                raise EvaluationError(
-                    "indexed join requires outer and inner key expressions")
-                yield  # pragma: no cover
-            return broken
-        outer_key_fn = _compile(expr.outer_key, scope + (expr.outer_var,), state)
-        inner_key_fn = _compile(expr.inner_key, scope + (expr.inner_var,), state)
-
-        def stream_indexed(frame, context):
-            context.statistics.joins_indexed += 1
-            outer = outer_fn(frame, context)
-            # Build side: materialized into a hash index before probing.
-            inner = _build_source(inner_fn(frame, context), context)
-            key_frame, index = _build_join_index(
-                inner, inner_key_fn, frame, outer_slot, context)
-            pair_frame = _extended(_extended(frame, None), None)
-            for outer_item in outer:
-                key_frame[outer_slot] = outer_item
-                matches = index.get(outer_key_fn(key_frame, context))
-                if not matches:
-                    continue
-                pair_frame[outer_slot] = outer_item
-                for inner_item in matches:
-                    pair_frame[inner_slot] = inner_item
-                    if cond_fn is not None and \
-                            not require_join_condition(cond_fn(pair_frame, context)):
-                        continue
-                    yield from _stream_join_emit(mode, body, pair_frame, context)
-
-        if expr.kind == "set":
-            return _dedup_set_stream(stream_indexed)
-        return stream_indexed
-
-    block_size = max(1, expr.block_size)
-
-    if block_size == 1:
-        def stream_unit_blocked(frame, context):
-            # Per-element probe (what the optimizer emits under the
-            # streaming hint): pull one outer element, materialize the inner
-            # side ONCE on first need, and yield that element's matches
-            # immediately — the blocked join's time-to-first-result becomes
-            # one outer element plus the build side, like the indexed join.
-            context.statistics.joins_blocked += 1
-            pair_frame = _extended(_extended(frame, None), None)
-            inner = None
-            for outer_item in outer_fn(frame, context):
-                if inner is None:
-                    inner = _materialise_build_side(
-                        inner_fn(frame, context), context)
-                pair_frame[outer_slot] = outer_item
-                for inner_item in inner:
-                    pair_frame[inner_slot] = inner_item
-                    if cond_fn is not None and \
-                            not require_join_condition(cond_fn(pair_frame, context)):
-                        continue
-                    yield from _stream_join_emit(mode, body, pair_frame, context)
-
-        if expr.kind == "set":
-            return _dedup_set_stream(stream_unit_blocked)
-        return stream_unit_blocked
-
-    def stream_blocked(frame, context):
-        context.statistics.joins_blocked += 1
-        pair_frame = _extended(_extended(frame, None), None)
-        outer = iter(outer_fn(frame, context))
-        while True:
-            block = []
-            for outer_item in outer:
-                block.append(outer_item)
-                if len(block) >= block_size:
-                    break
-            if not block:
-                return
-            # The inner side is re-evaluated once per outer block, exactly
-            # like the eager lowering (a driver stream can be consumed
-            # once); outer-major emission keeps the sequence block-size-
-            # independent.
-            inner = _materialise_build_side(inner_fn(frame, context), context)
-            for outer_item in block:
-                pair_frame[outer_slot] = outer_item
-                for inner_item in inner:
-                    pair_frame[inner_slot] = inner_item
-                    if cond_fn is not None and \
-                            not require_join_condition(cond_fn(pair_frame, context)):
-                        continue
-                    yield from _stream_join_emit(mode, body, pair_frame, context)
-
-    if expr.kind == "set":
-        return _dedup_set_stream(stream_blocked)
-    return stream_blocked
-
-
-class CompiledStream:
-    """An NRC term lowered to a pull-based generator pipeline.
-
-    Calling it returns an *iterator* over the elements of the term's
-    collection value (a non-collection value is yielded as a single
-    element, matching ``KleisliEngine.stream``).  The whole run happens
-    inside a fresh :class:`~repro.core.nrc.eval.EvalScope` on the supplied
-    context: every cursor the pipeline opens — source scans *and* body-level
-    scans — is released when the iterator is exhausted or closed early.
-
-    ``eager_nodes`` names node types that had no pull-based lowering and ran
-    eagerly inside the pipeline; ``fallback_nodes`` names node types (inside
-    those eager sections) delegated all the way back to the interpreter.
-    """
-
-    __slots__ = ("expr", "free_names", "fallback_nodes", "eager_nodes", "_fn")
-
-    def __init__(self, expr: A.Expr):
-        self.expr = expr
-        self.free_names: Tuple[str, ...] = tuple(sorted(free_variables(expr)))
-        state = _CompileState(n_free=len(self.free_names))
-        self._fn = self._lower_toplevel(expr, self.free_names, state)
-        self.fallback_nodes: Tuple[str, ...] = tuple(sorted(set(state.fallbacks)))
-        self.eager_nodes: Tuple[str, ...] = tuple(sorted(set(state.eager)))
-
-    @classmethod
-    def _lower_toplevel(cls, expr: A.Expr, scope: _Scope, state: _CompileState) -> _StreamFn:
-        """Top-level lowering: tolerates a non-collection result.
-
-        A scalar query streams as a single element (matching the engine's
-        historical ``stream`` contract), unlike source/body positions where
-        a scalar is an error.  The tolerance follows the *transparent spine*
-        — ``Let`` bodies, ``IfThenElse`` branches, and value leaves — so
-        ``Let(x, Ext(...))`` still streams its comprehension while
-        ``Let(x, x + 2)`` yields one element instead of raising.
-        """
-        node_type = type(expr)
-        if node_type is A.Let:
-            value_fn = _compile(expr.value, scope, state)
-            body_fn = cls._lower_toplevel(expr.body, scope + (expr.var,), state)
-
-            def stream_let(frame, context):
-                yield from body_fn(_extended(frame, value_fn(frame, context)),
-                                   context)
-
-            return stream_let
-        if node_type is A.IfThenElse:
-            cond_fn = _compile(expr.cond, scope, state)
-            then_fn = cls._lower_toplevel(expr.then_branch, scope, state)
-            else_fn = cls._lower_toplevel(expr.else_branch, scope, state)
-
-            def stream_if(frame, context):
-                if _require_bool(cond_fn(frame, context)):
-                    yield from then_fn(frame, context)
-                else:
-                    yield from else_fn(frame, context)
-
-            return stream_if
-        if node_type in (A.Var, A.Const, A.Cached):
-            # Value leaves (and Cached, a materialization point): evaluate,
-            # then stream elements — or the value itself when it is scalar.
-            return cls._tolerant_stream(_compile(expr, scope, state),
-                                        count_fallback=False)
-        if node_type in _STREAM_COMPILERS:
-            # Collection-producing nodes (Ext, Scan, Join, Union, ...): a
-            # scalar cannot legally appear here, so stream directly.
-            return _compile_stream(expr, scope, state)
-        state.eager.append(node_type.__name__)
-        return cls._tolerant_stream(_compile(expr, scope, state),
-                                    count_fallback=True)
-
-    @staticmethod
-    def _tolerant_stream(fn: _CompiledFn, count_fallback: bool) -> _StreamFn:
-        """Yield a value's elements if it is a CPL collection, else the value.
-
-        Deliberately as strict as ``iter_collection``: a plain Python
-        iterable (tuple, dict, generator) bound to a variable is *one*
-        value, exactly as ``execute`` and the interpreted stream treat it —
-        not an element sequence to explode.
-        """
-
-        def stream(frame, context):
-            if count_fallback:
-                context.statistics.stream_fallbacks += 1
-            value = fn(frame, context)
-            if isinstance(value, _COLLECTIONS):
-                yield from value
-            else:
-                yield value
-
-        return stream
-
-    @property
-    def fully_compiled(self) -> bool:
-        """No interpreter fallback anywhere in the pipeline."""
-        return not self.fallback_nodes
-
-    @property
-    def fully_streamed(self) -> bool:
-        """Every node lowered pull-based (no eager sections)."""
-        return not self.eager_nodes
-
-    def __call__(self, env: Optional[Environment] = None,
-                 context: Optional[EvalContext] = None):
-        context = context if context is not None else EvalContext()
-        return self._pump(_build_frame(self.free_names, env), context)
-
-    def _pump(self, frame, context):
-        # The scope spans the whole iteration: activated on first next(),
-        # closed (releasing every registered cursor) when the pipeline is
-        # exhausted, abandoned (GeneratorExit) or fails.
-        with context.evaluation_scope():
-            token = context.cancellation
-            if token is None:
-                yield from self._fn(frame, context)
-                return
-            # Governed pump: one cooperative checkpoint per element pull,
-            # raised inside the scope so cancellation releases every cursor.
-            for element in self._fn(frame, context):
-                token.raise_if_cancelled()
-                yield element
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        detail = "fully streamed" if self.fully_streamed else \
-            "eager: " + ", ".join(self.eager_nodes)
-        return f"<CompiledStream ({detail})>"
-
-
-def compile_stream(term: A.Expr) -> CompiledStream:
-    """Lower an (optimized) NRC term into a pull-based generator pipeline.
-
-    Returns a :class:`CompiledStream`; call it with an
-    :class:`~repro.core.nrc.eval.Environment` and an
-    :class:`~repro.core.nrc.eval.EvalContext` to get the element iterator.
-    """
-    return CompiledStream(term)
-
-
-# ---------------------------------------------------------------------------
 # Chunked (morsel-at-a-time) lowering
 # ---------------------------------------------------------------------------
 #
-# The third lowering target: stages exchange *lists* of at most K elements
-# instead of single elements, so the per-element cost of a pipeline stage is
-# one tight-loop iteration rather than a generator-frame suspend/resume.
-# Adjacent Ext stages with map/filter bodies fuse into ONE chunk stage that
-# runs each stage as a tight loop over the chunk; set-kind dedup, the typed
-# union's shared seen-filter and both join probes have chunk-wise forms that
-# preserve exact element-sequence parity with execute (see the module
-# docstring's "Chunked semantics").  Chunk sizes ramp from 1 (first chunk =
-# first element: TTFR parity with the per-element stream) doubling up to the
-# ChunkPolicy maximum, read from the EvalContext at run time.
+# The streaming lowering target: stages exchange *lists* of at most K
+# elements instead of single elements, so the per-element cost of a pipeline
+# stage is one tight-loop iteration rather than a generator-frame
+# suspend/resume.  Adjacent Ext stages with map/filter bodies fuse into ONE
+# chunk stage that runs each stage as a tight loop over the chunk; set-kind
+# dedup, the typed union's shared seen-filter and the join probes have
+# chunk-wise forms that preserve exact element-sequence parity with execute
+# (see the module docstring's "Chunked semantics").  Chunk sizes ramp from 1
+# (the first chunk is the first element, so time-to-first-result is one
+# source element) doubling up to the ChunkPolicy maximum, read from the
+# EvalContext at run time.
 
 
 class ChunkPolicy:
@@ -1925,8 +1310,9 @@ class ChunkPolicy:
 
     ``parallel_chunk`` selects the granularity of a streamed
     ``ParallelExt``'s prefetcher: 1 (the default) keeps one in-flight task
-    per source *element* — the right shape for overlapping remote latency,
-    and exactly the per-element backend's bounding behavior — while a larger
+    per source *element*, with the source pulled one element at a time, so
+    it runs only one window ahead — the right shape for overlapping remote
+    latency — while a larger
     value submits one task per ``parallel_chunk`` source elements
     (``AdaptiveScheduler.prefetch``'s chunk-granular mode), amortizing task
     overhead when the body is cheap.
@@ -1982,14 +1368,101 @@ def _active_policy(context: EvalContext) -> ChunkPolicy:
     return DEFAULT_CHUNK_POLICY if policy is None else policy
 
 
+def _iterate_streamed(value: object, context: EvalContext):
+    """Iterate a collection or lazy stream produced by an eager section.
+
+    Accepts exactly what :func:`~repro.core.nrc.eval.iterate_source` accepts
+    (any iterable), so a term legal as a generator source under the eager
+    backend is legal under the streaming one.  Lazy cursors that are not
+    already scope-registered (``_CountingStream`` registers itself at
+    creation) are registered with the active scope so an abandoned pipeline
+    releases them deterministically.
+    """
+    if isinstance(value, _COLLECTIONS):
+        return iter(value)
+    if hasattr(value, "__iter__"):
+        if not isinstance(value, _CountingStream):
+            scope = context.scope
+            if scope is not None and hasattr(value, "close"):
+                scope.register(value)
+                return _unregistering_iter(value, scope)
+        return iter(value)
+    raise EvaluationError(
+        f"generator source must be a collection, got {type(value).__name__}"
+    )
+
+
+def _unregistering_iter(value: object, scope):
+    """Iterate a scope-registered cursor, unregistering it when drained.
+
+    Mirrors ``_CountingStream``'s self-unregistration: on natural
+    exhaustion the scope stops tracking the dead cursor (so a long pipeline
+    does not pin one per occurrence); on abandonment the ``yield from``
+    never completes and the scope's close still reaches it.
+    """
+    yield from iter(value)
+    scope.unregister(value)
+
+
+class _BudgetedSeenSet:
+    """A dedup seen-set that charges the run's memory budget as it grows.
+
+    Charges are quantum-batched (one hierarchical budget walk per
+    :data:`QUANTUM` distinct elements, not per element) so the dedup hot
+    path pays one counter increment per element; the at-most-one-quantum
+    under-charge at stream end is bounded and released with the budget.
+    """
+
+    QUANTUM = 256
+
+    __slots__ = ("_set", "_budget", "_pending")
+
+    def __init__(self, budget):
+        self._set: set = set()
+        self._budget = budget
+        self._pending = 0
+
+    def __contains__(self, value) -> bool:
+        return value in self._set
+
+    def add(self, value) -> None:
+        before = len(self._set)
+        self._set.add(value)
+        if len(self._set) != before:
+            self._pending += 1
+            if self._pending >= self.QUANTUM:
+                self._budget.charge_elements(self._pending)
+                self._pending = 0
+
+    def __len__(self) -> int:
+        return len(self._set)
+
+
+def _make_seen_set(context: EvalContext):
+    """The seen-set for a set-kind dedup stage (governed materialization point).
+
+    Plain ``set()`` ungoverned (the zero-governance path), a disk-backed
+    :class:`~repro.kleisli.spill.GovernedSeenSet` under a spill manager
+    (bounded memory, exact dedup), a budget-charging set under a budget
+    alone.  All three satisfy the ``in``/``add`` protocol the dedup loops
+    use, so chunk sizes and values stay identical across the backends.
+    """
+    spill = context.spill
+    if spill is not None:
+        return spill.seen_set()
+    budget = context.memory_budget
+    if budget is not None:
+        return _BudgetedSeenSet(budget)
+    return set()
+
+
 def _ramped_chunks(iterator, initial: int, maximum: int,
                    adaptive: bool = False):
     """Group an element iterator into ramping chunks: 1, 2, 4, ... maximum.
 
     Pulls exactly ``size`` elements before yielding a chunk — no lookahead
     beyond the chunk boundary, so a consumer that stops early never caused
-    more source consumption than the chunk it is reading (the same bounding
-    the per-element stream gives, at chunk granularity).  With ``adaptive``
+    more source consumption than the chunk it is reading.  With ``adaptive``
     (the planner's cost-adaptive ramp) the doubling stops when the marginal
     per-chunk cost stops improving — see :class:`_ChunkRamp`.
     """
@@ -2178,8 +1651,8 @@ _CHUNK_COMPILERS: Dict[Type[A.Expr], Callable[[A.Expr, _Scope, _CompileState], _
 def register_chunk_compiler(node_type: Type[A.Expr]):
     """Register a chunk-wise lowering for an AST node type.
 
-    Same exact-type dispatch contract as :func:`register_stream_compiler`.
-    The registered function compiles ``expr`` to a generator function
+    Same exact-type dispatch contract as :func:`register_compiler`.  The
+    registered function compiles ``expr`` to a generator function
     ``chunks(frame, context)`` whose iterator yields non-empty **lists** of
     elements; the concatenation of the lists must equal the node's element
     sequence, and no work (including driver requests) may happen before the
@@ -2200,9 +1673,11 @@ def chunkable_node_types() -> Tuple[str, ...]:
 
 def _compile_chunk(expr: A.Expr, scope: _Scope, state: _CompileState) -> _ChunkFn:
     compiler = _CHUNK_COMPILERS.get(type(expr))
-    if compiler is None:
-        return _chunk_via_stream(expr, scope, state)
-    return compiler(expr, scope, state)
+    if compiler is not None:
+        return compiler(expr, scope, state)
+    if _is_leaf(expr):
+        return _chunk_leaf(expr, scope, state)
+    return _chunk_via_eager(expr, scope, state)
 
 
 def _scan_drivers(expr: A.Expr) -> Tuple[str, ...]:
@@ -2218,9 +1693,10 @@ def _scan_drivers(expr: A.Expr) -> Tuple[str, ...]:
 def _subtree_sizes(policy: ChunkPolicy, drivers: Tuple[str, ...]) -> Tuple[int, int]:
     """The most conservative ramp bounds over a subtree's scan drivers.
 
-    A re-chunk point (scalar stage, eager section) sits downstream of
-    whatever cursors its subtree opens; pulling a chunk pulls through them.
-    Taking the minimum maximum over every driver the subtree can scan keeps
+    A re-chunk point (an eager section, a ParallelExt's output) sits
+    downstream of whatever cursors its subtree opens; pulling a chunk pulls
+    through them.  Taking the minimum maximum over every driver the subtree
+    can scan keeps
     the remote buffering bound ("one chunk never buffers more than a
     bounded slice of a slow cursor") intact across those points — a
     driver-free subtree gets the local sizes.
@@ -2233,35 +1709,13 @@ def _subtree_sizes(policy: ChunkPolicy, drivers: Tuple[str, ...]) -> Tuple[int, 
     return initial, maximum
 
 
-def _chunk_via_stream(expr: A.Expr, scope: _Scope, state: _CompileState) -> _ChunkFn:
-    """Run a node with no chunk lowering at per-element granularity.
-
-    The existing stream lowering produces the elements; they are re-chunked
-    for the downstream (chunk-consuming) stages.  Correct for any node the
-    per-element backend handles, just not vectorized — surfaced via
-    ``CompiledChunkedStream.scalar_stages`` / ``EvalStatistics.scalar_stages``.
-    """
-    state.scalar.append(type(expr).__name__)
-    stream_fn = _compile_stream(expr, scope, state)
-    drivers = _scan_drivers(expr)
-
-    def chunks(frame, context):
-        context.statistics.scalar_stages += 1
-        policy = _active_policy(context)
-        initial, maximum = _subtree_sizes(policy, drivers)
-        yield from _ramped_chunks(stream_fn(frame, context), initial, maximum,
-                                  policy.adaptive_ramp)
-
-    return chunks
-
-
 def _chunk_via_eager(expr: A.Expr, scope: _Scope, state: _CompileState) -> _ChunkFn:
-    """Evaluate a non-streamable subtree eagerly, then yield its chunks.
+    """Evaluate a subtree with no chunk lowering, then chunk its value.
 
-    The chunked counterpart of :func:`_stream_via_eager`: same accounting
-    (``eager_nodes`` / ``stream_fallbacks``), same error behavior — the
-    whole value is produced before the first chunk, so a term ``execute``
-    rejects raises here exactly where it raises there.  The eager value can
+    The fallback for every node type without a chunk compiler: named in
+    ``eager_nodes`` and counted by ``stream_fallbacks``.  The whole value is
+    produced before the first chunk, so a term ``execute`` rejects raises
+    here exactly where it raises there.  The eager value can
     still be a lazy cursor (an eagerly compiled ``Scan``), so the ramp uses
     the subtree's conservative driver sizes like any re-chunk point.
     """
@@ -2279,10 +1733,26 @@ def _chunk_via_eager(expr: A.Expr, scope: _Scope, state: _CompileState) -> _Chun
     return chunks
 
 
+def _is_leaf(expr: A.Expr) -> bool:
+    """Whether ``expr`` is chunked as a leaf in source position.
+
+    Leaves are a bound variable, a literal, a field of a bound variable
+    (``\\k <- p.keywd``) and a ``Cached`` value — a deliberate
+    materialization point, since the subquery cache stores whole
+    collections.  None has a cheaper pull-based form, so none is a
+    fallback.
+    """
+    node_type = type(expr)
+    if node_type is A.Project:
+        return type(expr.expr) is A.Var
+    return node_type in (A.Var, A.Const, A.Cached)
+
+
 def _chunk_leaf(expr: A.Expr, scope: _Scope, state: _CompileState) -> _ChunkFn:
     """A leaf in source position: evaluate (cheap), chunk lazily.
 
-    Like :func:`_stream_leaf`, not a fallback — not counted anywhere.
+    Not a fallback, so not counted anywhere.  A leaf scans no driver, so
+    its ramp takes the local bounds (``_subtree_sizes`` of no drivers).
     """
     fn = _compile(expr, scope, state)
 
@@ -2297,8 +1767,6 @@ def _chunk_leaf(expr: A.Expr, scope: _Scope, state: _CompileState) -> _ChunkFn:
 
 register_chunk_compiler(A.Var)(_chunk_leaf)
 register_chunk_compiler(A.Const)(_chunk_leaf)
-# Cached: a deliberate materialization point, chunked like a leaf (see the
-# per-element lowering's treatment).
 register_chunk_compiler(A.Cached)(_chunk_leaf)
 
 
@@ -2324,11 +1792,14 @@ def _chunk_singleton(expr: A.Singleton, scope, state):
 def _dedup_set_chunks(chunk_fn: _ChunkFn) -> _ChunkFn:
     """Chunk-wise dedup-as-you-go for set-kind pipelines.
 
-    The seen-set is carried *across* chunk boundaries, so the concatenated
-    output equals :func:`_dedup_set_stream`'s element sequence exactly —
-    chunk sizes stay value-invisible.  Like the per-element wrapper, the raw
-    stage is remembered (``undeduped``) so an enclosing set-kind union can
-    chain operands under one shared seen-filter.
+    ``CSet`` iterates in first-occurrence insertion order, so suppressing
+    repeats incrementally yields *exactly* the element sequence of the
+    eagerly built set, at O(distinct elements) memory.  The seen-set is
+    carried *across* chunk boundaries, so chunk sizes stay value-invisible.
+    The raw stage is remembered (``undeduped``) so an enclosing set-kind
+    union can chain operands under one shared seen-filter: filtering the raw
+    concatenation yields the same first-occurrence sequence as filtering
+    pre-deduped operands, with one live seen-set instead of one per layer.
     """
 
     def chunks(frame, context):
@@ -2350,7 +1821,20 @@ def _dedup_set_chunks(chunk_fn: _ChunkFn) -> _ChunkFn:
 
 @register_chunk_compiler(A.Union)
 def _chunk_union(expr: A.Union, scope, state):
-    """The typed streaming union at chunk granularity (same kind proof)."""
+    """The typed streaming union: chain operand pipelines under a kind proof.
+
+    ``union_like`` both deduplicates (sets) and type-checks the two
+    operands' collection classes (all kinds).  When the static kind proof
+    (:func:`~repro.core.nrc.structural.proven_collection_kind`) guarantees
+    both operands produce this union's collection class, the run-time check
+    is redundant and the union pipelines: the left operand's chunks, then
+    the right's — for sets under one seen-filter carried across both
+    operands, which matches ``left.union(right)``'s first-occurrence order
+    exactly (bag/list union is concatenation, so chaining is the semantics).
+    Without a proof for either operand (a bound ``Var``, a ``Scan``, a
+    ``Cached`` value — or a *provable mismatch*), the union stays an eager
+    ``union_like`` section, so it raises exactly where ``execute`` raises.
+    """
     kind = expr.kind
     if (proven_collection_kind(expr.left) != kind
             or proven_collection_kind(expr.right) != kind):
@@ -2358,7 +1842,8 @@ def _chunk_union(expr: A.Union, scope, state):
     left_fn = _compile_chunk(expr.left, scope, state)
     right_fn = _compile_chunk(expr.right, scope, state)
     if kind == "set":
-        # One seen-set for the whole union chain (see _stream_union).
+        # One seen-set for the whole union chain: operands that dedup on
+        # their own are unwrapped to their raw stages.
         left_fn = getattr(left_fn, "undeduped", left_fn)
         right_fn = getattr(right_fn, "undeduped", right_fn)
 
@@ -2450,8 +1935,8 @@ def _execute_scan_batch(driver: str, requests: List[dict],
 def _chunk_ext_scan_batch(expr: A.Ext, scope: _Scope, state: _CompileState) -> _ChunkFn:
     """``Ext`` whose body is a ``Scan``: batch the chunk's driver fetches.
 
-    The per-element stream issues one request per source element; here a
-    whole batch of requests is built first and dispatched in one
+    The eager lowering issues one request per source element; here a whole
+    batch of requests is built first and dispatched in one
     ``execute_batch`` call, then each result's elements are yielded in
     request order — the same element sequence and the same drained-run
     statistics, at one driver round-trip per batch.
@@ -2658,20 +2143,19 @@ def _realize(plan: tuple, frame: list, context: EvalContext):
     return plan[1](frame, context)
 
 
-
-
 @register_chunk_compiler(A.Ext)
 def _chunk_ext(expr: A.Ext, scope, state):
     """Chunked ``Ext``: fuse adjacent map/filter stages into one chunk stage.
 
     Walking down through directly nested ``Ext`` nodes whose bodies are the
-    desugarer's ``Singleton``/filter shapes collects an op list (innermost
-    first); every stage binds its loop variable at the *same* frame slot
-    (each source is compiled in the enclosing scope), so one reused loop
-    frame serves the whole fused segment.  At run time each chunk flows
-    through the ops as tight loops — no generator frame per stage — with
-    per-stage ``ext_iterations`` batched per chunk and set-kind stages
-    deduping through a seen-set that persists across chunks.
+    desugarer's ``Singleton``/filter-chain shapes collects an op list
+    (innermost first); every stage binds its loop variable at the *same*
+    frame slot (each source is compiled in the enclosing scope), so one
+    reused loop frame serves the whole fused segment.  At run time each
+    chunk flows through the ops as tight loops — no generator frame per
+    stage — with per-stage ``ext_iterations`` batched per chunk and
+    set-kind stages deduping through a seen-set that persists across
+    chunks.
     """
     slot = len(scope)
     stages = []  # outermost-first: (op, dedup_after)
@@ -2693,14 +2177,18 @@ def _chunk_ext(expr: A.Ext, scope, state):
             filter_shape = _filter_shape(body)
             if filter_shape is None:
                 break
-            emit_when, value_expr = filter_shape
-            cond_plan = _item_plan(body.cond, body_scope, state, slot)
+            conditions, value_expr = filter_shape
+            cond_plans = tuple((_item_plan(cond, body_scope, state, slot),
+                                emit_when) for emit_when, cond in conditions)
             value_plan = _item_plan(value_expr, body_scope, state, slot)
-            if cond_plan is not None and value_plan is not None:
-                op = ("vfilter", cond_plan, value_plan, emit_when)
+            if value_plan is not None and \
+                    all(plan is not None for plan, _ in cond_plans):
+                op = ("vfilter", cond_plans, value_plan)
             else:
-                op = ("filter", _compile(body.cond, body_scope, state),
-                      _compile(value_expr, body_scope, state), emit_when)
+                op = ("filter",
+                      tuple((_compile(cond, body_scope, state), emit_when)
+                            for emit_when, cond in conditions),
+                      _compile(value_expr, body_scope, state))
         # The top stage's set dedup is the wrapper below; an absorbed inner
         # stage's dedup becomes an op between it and the enclosing stage.
         stages.append((op, node.kind == "set" and not top))
@@ -2733,8 +2221,9 @@ def _chunk_ext(expr: A.Ext, scope, state):
             if tag == "vmap":
                 realized.append((tag, _realize(op[1], frame, context)))
             elif tag == "vfilter":
-                realized.append((tag, _realize(op[1], frame, context),
-                                 _realize(op[2], frame, context), op[3]))
+                tests = tuple((_realize(plan, frame, context), emit_when)
+                              for plan, emit_when in op[1])
+                realized.append((tag, tests, _realize(op[2], frame, context)))
             elif tag == "dedup":
                 realized.append((tag, _make_seen_set(context)))
             else:
@@ -2746,8 +2235,14 @@ def _chunk_ext(expr: A.Ext, scope, state):
                     stats.ext_iterations += len(out)
                     out = list(map(op[1], out))
                 elif tag == "vfilter":
-                    _, cond_fn, value_fn, emit_when = op
+                    _, tests, value_fn = op
                     stats.ext_iterations += len(out)
+                    # A chain short-circuits: each condition only sees the
+                    # items every earlier one passed.
+                    for cond_fn, emit_when in tests[:-1]:
+                        out = [item for item in out
+                               if require_bool(cond_fn(item)) is emit_when]
+                    cond_fn, emit_when = tests[-1]
                     if value_fn is _ident:
                         out = [item for item in out
                                if require_bool(cond_fn(item)) is emit_when]
@@ -2766,13 +2261,17 @@ def _chunk_ext(expr: A.Ext, scope, state):
                         append(value_fn(loop_frame, context))
                     out = nxt
                 elif tag == "filter":
-                    _, cond_fn, value_fn, emit_when = op
+                    _, tests, value_fn = op
                     stats.ext_iterations += len(out)
                     nxt = []
                     append = nxt.append
                     for item in out:
                         loop_frame[slot] = item
-                        if _require_bool(cond_fn(loop_frame, context)) is emit_when:
+                        for cond_fn, emit_when in tests:
+                            if _require_bool(cond_fn(loop_frame, context)) \
+                                    is not emit_when:
+                                break
+                        else:
                             append(value_fn(loop_frame, context))
                     out = nxt
                 else:  # dedup (an absorbed set-kind stage)
@@ -2799,8 +2298,9 @@ def _chunk_ext_generic(expr: A.Ext, scope: _Scope, state: _CompileState) -> _Chu
     """Chunked ``Ext`` with an arbitrary (collection-producing) body.
 
     The body's own chunk stream passes through: its chunks become output
-    chunks, consumed fully per source element before the next is bound (the
-    loop-frame reuse argument of the per-element lowering applies verbatim).
+    chunks.  The loop frame is safely reused across source elements: the
+    body's chunks for one element are drained before the next is bound, and
+    escaping closures snapshot the frame at creation.
     """
     source_fn = _compile_chunk(expr.source, scope, state)
     body_fn = _compile_chunk(expr.body, scope + (expr.var,), state)
@@ -2822,27 +2322,49 @@ def _chunk_ext_generic(expr: A.Ext, scope: _Scope, state: _CompileState) -> _Chu
 
 @register_chunk_compiler(A.Join)
 def _chunk_join(expr: A.Join, scope, state):
-    """Chunk-wise join probing: per outer *chunk*, build side unchanged.
+    """Chunk-wise join probing: the outer (probe) side streams, the inner
+    (build) side materializes.
 
-    The indexed join builds its hash index before the first outer pull and
-    probes it per outer element within each chunk; a block-size-1 blocked
-    join materializes the inner once on first need — both exactly the
-    per-element lowering's build policy, emitting one output chunk per
-    probed outer chunk.  Blocked joins with a larger block size keep the
-    per-element lowering (their inner-rescan-per-block protocol is already
-    block-granular; the optimizer's streaming plans emit block size 1).
+    The asymmetry is inherent: an indexed join's hash index and a blocked
+    join's inner rescan need the whole inner collection, but the outer side
+    can be consumed chunk by chunk, so results flow before the outer source
+    is exhausted.
+
+    * **Indexed** — the hash index is built before the first outer pull and
+      probed per outer element; one output chunk per probed outer chunk.
+    * **Block size 1** (what the optimizer emits under the streaming hint)
+      — the inner side is materialized once, on first need, and probed per
+      outer element.
+    * **Block size > 1** — outer elements are buffered into blocks across
+      chunk boundaries and the inner side is re-materialized once per
+      block, exactly like the eager lowering (a driver stream can be
+      consumed once); one output chunk per block.  Emission is outer-major,
+      so the block size never shows in the element sequence.
+
+    The body is emitted through :func:`_compile_body_emitter`: ``Singleton``
+    and filter-chain bodies append directly, any other body drains its
+    chunk pipeline.
     """
-    if expr.method != "indexed" and max(1, expr.block_size) != 1:
-        return _chunk_via_stream(expr, scope, state)
     outer_fn = _compile_chunk(expr.outer, scope, state)
     inner_fn = _compile(expr.inner, scope, state)
     pair_scope = scope + (expr.outer_var, expr.inner_var)
-    mode, body = _compile_stream_body(expr.body, pair_scope, state)
+    emit = _compile_body_emitter(expr.body, pair_scope, state, chunked=True)
     cond_fn = None
     if expr.condition is not None:
         cond_fn = _compile(expr.condition, pair_scope, state)
     outer_slot = len(scope)
     inner_slot = outer_slot + 1
+
+    def probe_nested(outer_items, inner, pair_frame, context, out):
+        # The nested-loop probe of a blocked join, appending into ``out``.
+        for outer_item in outer_items:
+            pair_frame[outer_slot] = outer_item
+            for inner_item in inner:
+                pair_frame[inner_slot] = inner_item
+                if cond_fn is not None and \
+                        not require_join_condition(cond_fn(pair_frame, context)):
+                    continue
+                emit(pair_frame, context, out)
 
     if expr.method == "indexed":
         if expr.outer_key is None or expr.inner_key is None:
@@ -2856,8 +2378,8 @@ def _chunk_join(expr: A.Join, scope, state):
 
         def chunks_indexed(frame, context):
             context.statistics.joins_indexed += 1
-            # Build side first, like stream_indexed: the index exists before
-            # the first outer element is pulled.
+            # Build side first: the index exists before the first outer
+            # element is pulled.
             inner = _build_source(inner_fn(frame, context), context)
             key_frame, index = _build_join_index(
                 inner, inner_key_fn, frame, outer_slot, context)
@@ -2875,37 +2397,62 @@ def _chunk_join(expr: A.Join, scope, state):
                         if cond_fn is not None and \
                                 not require_join_condition(cond_fn(pair_frame, context)):
                             continue
-                        out.extend(_stream_join_emit(mode, body, pair_frame, context))
+                        emit(pair_frame, context, out)
                 if out:
                     yield out
 
-        if expr.kind == "set":
-            return _dedup_set_chunks(chunks_indexed)
-        return chunks_indexed
-
-    def chunks_unit_blocked(frame, context):
-        context.statistics.joins_blocked += 1
-        pair_frame = _extended(_extended(frame, None), None)
-        inner = None
-        for chunk in outer_fn(frame, context):
-            out: list = []
-            for outer_item in chunk:
+        chunks_fn = chunks_indexed
+    elif max(1, expr.block_size) == 1:
+        def chunks_unit_blocked(frame, context):
+            context.statistics.joins_blocked += 1
+            pair_frame = _extended(_extended(frame, None), None)
+            inner = None
+            for chunk in outer_fn(frame, context):
                 if inner is None:
                     inner = _materialise_build_side(
                         inner_fn(frame, context), context)
-                pair_frame[outer_slot] = outer_item
-                for inner_item in inner:
-                    pair_frame[inner_slot] = inner_item
-                    if cond_fn is not None and \
-                            not require_join_condition(cond_fn(pair_frame, context)):
-                        continue
-                    out.extend(_stream_join_emit(mode, body, pair_frame, context))
-            if out:
-                yield out
+                out: list = []
+                probe_nested(chunk, inner, pair_frame, context, out)
+                if out:
+                    yield out
+
+        chunks_fn = chunks_unit_blocked
+    else:
+        block_size = expr.block_size
+
+        def chunks_blocked(frame, context):
+            context.statistics.joins_blocked += 1
+            pair_frame = _extended(_extended(frame, None), None)
+            pending: list = []
+            exhausted = False
+            outer = outer_fn(frame, context)
+            while not exhausted:
+                for chunk in outer:
+                    pending.extend(chunk)
+                    if len(pending) >= block_size:
+                        break
+                else:
+                    exhausted = True
+                start = 0
+                # Full blocks, then (once the outer side is exhausted) the
+                # final partial block.
+                while len(pending) - start >= block_size or \
+                        (exhausted and start < len(pending)):
+                    block = pending[start:start + block_size]
+                    start += len(block)
+                    inner = _materialise_build_side(
+                        inner_fn(frame, context), context)
+                    out: list = []
+                    probe_nested(block, inner, pair_frame, context, out)
+                    if out:
+                        yield out
+                del pending[:start]
+
+        chunks_fn = chunks_blocked
 
     if expr.kind == "set":
-        return _dedup_set_chunks(chunks_unit_blocked)
-    return chunks_unit_blocked
+        return _dedup_set_chunks(chunks_fn)
+    return chunks_fn
 
 
 class CompiledChunkedStream:
@@ -2913,19 +2460,20 @@ class CompiledChunkedStream:
 
     Calling it returns an *iterator over elements* (chunks are an internal
     exchange format; the engine's ``stream`` contract is element-wise) —
-    use :meth:`chunks` to observe the chunk boundaries.  Like
-    :class:`CompiledStream`, the whole run happens inside a fresh
+    use :meth:`chunks` to observe the chunk boundaries.  A non-collection
+    value is yielded as a single element, matching ``KleisliEngine.stream``.
+    The whole run happens inside a fresh
     :class:`~repro.core.nrc.eval.EvalScope` on the supplied context, so
-    exhaustion, abandonment or failure releases every cursor — including
-    those behind buffered-but-unconsumed chunk elements.
+    exhaustion, abandonment or failure releases every cursor the pipeline
+    opens — source scans *and* body-level scans, including those behind
+    buffered-but-unconsumed chunk elements.
 
-    ``scalar_stages`` names node types with no chunk-wise lowering that run
-    at per-element granularity inside the pipeline; ``eager_nodes`` and
-    ``fallback_nodes`` keep their :class:`CompiledStream` meanings.
+    ``eager_nodes`` names node types that had no chunk-wise lowering and ran
+    eagerly inside the pipeline; ``fallback_nodes`` names node types (inside
+    those eager sections) delegated all the way back to the interpreter.
     """
 
-    __slots__ = ("expr", "free_names", "fallback_nodes", "eager_nodes",
-                 "scalar_stages", "_fn")
+    __slots__ = ("expr", "free_names", "fallback_nodes", "eager_nodes", "_fn")
 
     def __init__(self, expr: A.Expr):
         self.expr = expr
@@ -2934,13 +2482,19 @@ class CompiledChunkedStream:
         self._fn = self._lower_toplevel(expr, self.free_names, state)
         self.fallback_nodes: Tuple[str, ...] = tuple(sorted(set(state.fallbacks)))
         self.eager_nodes: Tuple[str, ...] = tuple(sorted(set(state.eager)))
-        self.scalar_stages: Tuple[str, ...] = tuple(sorted(set(state.scalar)))
 
     @classmethod
     def _lower_toplevel(cls, expr: A.Expr, scope: _Scope,
                         state: _CompileState) -> _ChunkFn:
-        """Top-level lowering: the same transparent spine and scalar
-        tolerance as :meth:`CompiledStream._lower_toplevel`."""
+        """Top-level lowering: tolerates a non-collection result.
+
+        A scalar query streams as a single element (matching the engine's
+        historical ``stream`` contract), unlike source/body positions where
+        a scalar is an error.  The tolerance follows the *transparent spine*
+        — ``Let`` bodies, ``IfThenElse`` branches, and leaves — so
+        ``Let(x, Ext(...))`` still streams its comprehension while
+        ``Let(x, x + 2)`` yields one element instead of raising.
+        """
         node_type = type(expr)
         if node_type is A.Let:
             value_fn = _compile(expr.value, scope, state)
@@ -2963,15 +2517,15 @@ class CompiledChunkedStream:
                     yield from else_fn(frame, context)
 
             return chunk_if
-        if node_type in (A.Var, A.Const, A.Cached):
+        if _is_leaf(expr):
+            # Evaluate, then chunk the elements — or yield the value itself
+            # when it is scalar.
             return cls._tolerant_chunks(_compile(expr, scope, state),
                                         count_fallback=False)
         if node_type in _CHUNK_COMPILERS:
+            # Collection-producing nodes (Ext, Scan, Join, Union, ...): a
+            # scalar cannot legally appear here, so chunk directly.
             return _compile_chunk(expr, scope, state)
-        if node_type in _STREAM_COMPILERS:
-            # A collection producer with a pull-based form but no chunk-wise
-            # one: run it per-element, re-chunked (a scalar stage).
-            return _chunk_via_stream(expr, scope, state)
         state.eager.append(node_type.__name__)
         return cls._tolerant_chunks(_compile(expr, scope, state),
                                     count_fallback=True)
@@ -2979,8 +2533,13 @@ class CompiledChunkedStream:
     @staticmethod
     def _tolerant_chunks(fn: _CompiledFn, count_fallback: bool) -> _ChunkFn:
         """Chunk a value's elements if it is a CPL collection, else yield the
-        value as a one-element chunk (same strictness as
-        :meth:`CompiledStream._tolerant_stream`)."""
+        value as a one-element chunk.
+
+        Deliberately as strict as ``iter_collection``: a plain Python
+        iterable (tuple, dict, generator) bound to a variable is *one*
+        value, exactly as ``execute`` and the interpreted stream treat it —
+        not an element sequence to explode.
+        """
 
         def chunks(frame, context):
             if count_fallback:
@@ -3003,13 +2562,8 @@ class CompiledChunkedStream:
 
     @property
     def fully_streamed(self) -> bool:
-        """Every node lowered pull-based (no eager sections)."""
+        """Every node lowered chunk-wise (no eager sections)."""
         return not self.eager_nodes
-
-    @property
-    def fully_chunked(self) -> bool:
-        """Every node lowered chunk-wise (no eager or per-element sections)."""
-        return not self.eager_nodes and not self.scalar_stages
 
     def __call__(self, env: Optional[Environment] = None,
                  context: Optional[EvalContext] = None):
@@ -3033,10 +2587,10 @@ class CompiledChunkedStream:
                 yield chunk
 
     def _pump(self, frame, context):
-        # The scope spans the whole iteration, exactly like CompiledStream:
-        # activated on first next(), closed when the pipeline is exhausted,
-        # abandoned (GeneratorExit) or fails — releasing cursors even when
-        # chunk elements were buffered but never consumed.
+        # The scope spans the whole iteration: activated on first next(),
+        # closed when the pipeline is exhausted, abandoned (GeneratorExit)
+        # or fails — releasing cursors even when chunk elements were
+        # buffered but never consumed.
         probe = context.plan_probe
         token = context.cancellation
         budget = context.memory_budget
@@ -3091,15 +2645,8 @@ class CompiledChunkedStream:
             probe.complete(total)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        if self.fully_chunked:
-            detail = "fully chunked"
-        else:
-            parts = []
-            if self.scalar_stages:
-                parts.append("scalar: " + ", ".join(self.scalar_stages))
-            if self.eager_nodes:
-                parts.append("eager: " + ", ".join(self.eager_nodes))
-            detail = "; ".join(parts) or "fully chunked"
+        detail = "fully streamed" if self.fully_streamed else \
+            "eager: " + ", ".join(self.eager_nodes)
         return f"<CompiledChunkedStream ({detail})>"
 
 

@@ -155,12 +155,13 @@ class EvalStatistics:
         self.execution_mode = "interpreted"
         #: Run-time count of fallback evaluations (compiled mode only).
         self.compiled_fallbacks = 0
-        #: Run-time count of pipeline sections that had no streaming lowering
-        #: and were evaluated eagerly inside a streaming run (streamed mode).
+        #: Run-time count of pipeline sections that had no chunk-wise
+        #: lowering and were evaluated eagerly inside a streamed run
+        #: (compile-time names in ``CompiledChunkedStream.eager_nodes``).
         self.stream_fallbacks = 0
-        #: Run-time count of chunked-pipeline sections that had no chunk
-        #: lowering and ran at per-element granularity instead (chunked mode;
-        #: compile-time names in ``CompiledChunkedStream.scalar_stages``).
+        #: Always 0: no lowering increments it any more.  It counted sections
+        #: that ran at per-element granularity inside a chunked run; the
+        #: field stays because benchmark reports read it by name.
         self.scalar_stages = 0
         #: Engine compile-cache (LRU) accounting for this query's lowering.
         self.compile_cache_hits = 0

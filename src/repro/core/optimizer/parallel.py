@@ -19,6 +19,7 @@ of requests at a time, say five."
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, List, Optional
 
 from ..nrc import ast as A
@@ -169,34 +170,46 @@ def _compile_parallel_ext(expr: ParallelExt, scope, state):
     return run
 
 
-@C.register_stream_compiler(ParallelExt)
-def _stream_parallel_ext(expr: ParallelExt, scope, state):
-    """Pull-based ParallelExt: a bounded prefetcher over the source stream.
+#: The source of an element-granular prefetch is pulled one element at a
+#: time, so it runs only one prefetch window ahead of the consumer.
+_ELEMENT_POLICY = C.ChunkPolicy(max_chunk=1, remote_max_chunk=1)
+
+
+@C.register_chunk_compiler(ParallelExt)
+def _chunk_parallel_ext(expr: ParallelExt, scope, state):
+    """Streamed ParallelExt: a bounded prefetcher over the source pipeline.
 
     A sliding window of at most ``max_workers`` body evaluations is in
     flight while downstream consumes earlier results (order preserved), so
     remote latency overlaps consumption end-to-end — not just within one
-    batch as in the eager lowering.  The source itself is pulled lazily,
-    only one window ahead of the consumer, which bounds unconsumed replies
-    exactly as the paper requires.
+    batch as in the eager lowering.  Source and body are compiled once and
+    shared by both prefetch granularities, chosen per run by the
+    ChunkPolicy:
+
+    * ``parallel_chunk == 1`` (the default): one in-flight body evaluation
+      per source *element* — the right shape for overlapping *remote*
+      latency.  The source pipeline runs under a one-element chunk policy,
+      so it is pulled only one window ahead of the consumer, which bounds
+      unconsumed replies exactly as the paper requires.  The results are
+      re-chunked for the downstream (chunk-consuming) stages.
+    * ``parallel_chunk > 1``: the scheduler's chunk-granular prefetch — one
+      task per ``parallel_chunk`` source elements, windows counted in
+      chunks, the window controller sampling per-chunk latency — amortizing
+      task and ordering overhead when the body is cheap.
     """
-    source_fn = C._compile_stream(expr.source, scope, state)
+    source_fn = C._compile_chunk(expr.source, scope, state)
     body_fn = C._compile(expr.body, scope + (expr.var,), state)
-    return _parallel_element_lowering(expr, source_fn, body_fn)
-
-
-def _parallel_element_lowering(expr: ParallelExt, source_fn, body_fn):
-    """The element-granular prefetch stage, from already-compiled pieces.
-
-    Factored out so the chunked lowering can reuse ONE compiled body (and
-    this exact prefetch discipline) instead of recompiling the body under a
-    second registrant.
-    """
-    kind = expr.kind
+    # A ParallelExt typically exists BECAUSE its body scans a remote driver:
+    # the re-chunk of its output must respect that driver's buffering bound
+    # (one chunk never accumulates more than remote_max_chunk completed
+    # remote replies), like every other re-chunk point.
+    scan_driver_names = C._scan_drivers(expr)
     max_workers = expr.max_workers
     adaptive = expr.adaptive
 
-    def stream(frame, context):
+    def chunks(frame, context):
+        policy = C._active_policy(context)
+        parallel_chunk = policy.parallel_chunk
         scheduler = _make_scheduler(max_workers, adaptive,
                                     _plan_window(context))
         scope_obj = context.scope
@@ -212,12 +225,45 @@ def _parallel_element_lowering(expr: ParallelExt, source_fn, body_fn):
             # share mutable slots.
             item_frame = list(frame)
             item_frame.append(item)
-            return list(iter_collection(materialise(body_fn(item_frame, context))))
+            return list(iter_collection(materialise(body_fn(item_frame,
+                                                            context))))
+
+        def elements():
+            element_context = copy.copy(context)
+            element_context.chunk_policy = _ELEMENT_POLICY
+            for chunk in source_fn(frame, element_context):
+                yield from chunk
+
+        def results():
+            for out in scheduler.prefetch(run_body, elements()):
+                stats.ext_iterations += 1
+                yield from out
+
+        def run_chunk(chunk):
+            out = []
+            for item in chunk:
+                out.extend(run_body(item))
+            return len(chunk), out
+
+        def rechunked_source():
+            # Re-cut whatever the source's own chunking produced into
+            # fixed parallel_chunk task payloads.
+            for chunk in source_fn(frame, context):
+                for start in range(0, len(chunk), parallel_chunk):
+                    yield chunk[start:start + parallel_chunk]
 
         try:
-            for chunk in scheduler.prefetch(run_body, source_fn(frame, context)):
-                stats.ext_iterations += 1
-                yield from chunk
+            if parallel_chunk <= 1:
+                initial, maximum = C._subtree_sizes(policy, scan_driver_names)
+                yield from C._ramped_chunks(results(), initial, maximum,
+                                            policy.adaptive_ramp)
+                return
+            for consumed, out in scheduler.prefetch(run_chunk,
+                                                    rechunked_source(),
+                                                    chunked=True):
+                stats.ext_iterations += consumed
+                if out:
+                    yield out
         finally:
             # Always close on section exit: a ParallelExt in the body of an
             # outer loop runs once per outer element — deferring the close
@@ -228,91 +274,9 @@ def _parallel_element_lowering(expr: ParallelExt, source_fn, body_fn):
             if scope_obj is not None:
                 scope_obj.unregister(scheduler)
 
-    if kind == "set":
+    if expr.kind == "set":
         # Set semantics: suppress repeats incrementally (first-occurrence
         # order), matching the eagerly built CSet element-for-element.
-        return C._dedup_set_stream(stream)
-    return stream
-
-
-@C.register_chunk_compiler(ParallelExt)
-def _chunk_parallel_ext(expr: ParallelExt, scope, state):
-    """Chunked ParallelExt: prefetch granularity follows the ChunkPolicy.
-
-    With ``parallel_chunk == 1`` (the default) the prefetcher stays
-    element-granular — one in-flight body evaluation per source element,
-    exactly the per-element lowering's bounding behavior, which is the
-    right shape for overlapping *remote* latency — and the results are
-    re-chunked for the downstream (chunk-consuming) stages.  A larger
-    ``parallel_chunk`` switches to the scheduler's chunk-granular prefetch:
-    one task per ``parallel_chunk`` source elements, windows counted in
-    chunks, the window controller sampling per-chunk latency — amortizing
-    task and ordering overhead when the body is cheap.
-    """
-    body_fn = C._compile(expr.body, scope + (expr.var,), state)
-    # The source is compiled under BOTH registries (the policy picks a path
-    # at run time), but the body — the expensive half — is compiled once
-    # and shared by the element and chunk-granular paths.
-    element_fn = _parallel_element_lowering(
-        expr, C._compile_stream(expr.source, scope, state), body_fn)
-    # The outer set-dedup wrapper below provides all dedup the chunked form
-    # needs; use the raw element stage so one seen-set serves the pipeline.
-    element_raw = getattr(element_fn, "undeduped", element_fn)
-    source_chunk_fn = C._compile_chunk(expr.source, scope, state)
-    # A ParallelExt typically exists BECAUSE its body scans a remote driver:
-    # the re-chunk of its output must respect that driver's buffering bound
-    # (one chunk never accumulates more than remote_max_chunk completed
-    # remote replies), like every other re-chunk point.
-    scan_driver_names = C._scan_drivers(expr)
-    kind = expr.kind
-    max_workers = expr.max_workers
-    adaptive = expr.adaptive
-
-    def chunks(frame, context):
-        policy = C._active_policy(context)
-        parallel_chunk = policy.parallel_chunk
-        if parallel_chunk <= 1:
-            initial, maximum = C._subtree_sizes(policy, scan_driver_names)
-            yield from C._ramped_chunks(element_raw(frame, context),
-                                        initial, maximum,
-                                        policy.adaptive_ramp)
-            return
-        scheduler = _make_scheduler(max_workers, adaptive,
-                                    _plan_window(context))
-        scope_obj = context.scope
-        if scope_obj is not None:
-            scope_obj.register(scheduler)
-        stats = context.statistics
-
-        def run_chunk(chunk):
-            out = []
-            for item in chunk:
-                item_frame = list(frame)
-                item_frame.append(item)
-                out.extend(iter_collection(materialise(body_fn(item_frame,
-                                                               context))))
-            return len(chunk), out
-
-        def rechunked_source():
-            # Re-cut whatever the source's own chunking produced into
-            # fixed parallel_chunk task payloads.
-            for chunk in source_chunk_fn(frame, context):
-                for start in range(0, len(chunk), parallel_chunk):
-                    yield chunk[start:start + parallel_chunk]
-
-        try:
-            for consumed, out in scheduler.prefetch(run_chunk,
-                                                    rechunked_source(),
-                                                    chunked=True):
-                stats.ext_iterations += consumed
-                if out:
-                    yield out
-        finally:
-            scheduler.close()
-            if scope_obj is not None:
-                scope_obj.unregister(scheduler)
-
-    if kind == "set":
         return C._dedup_set_chunks(chunks)
     return chunks
 

@@ -41,10 +41,8 @@ from ..core.nrc.compile import (
     ChunkPolicy,
     CompiledChunkedStream,
     CompiledQuery,
-    CompiledStream,
     ExecutionMode,
     compile_chunked,
-    compile_stream,
     compile_term,
     term_fingerprint,
 )
@@ -81,6 +79,11 @@ from .statistics import SourceStatisticsRegistry
 
 __all__ = ["KleisliEngine", "ExecutionMode"]
 
+# The benchmark's layer tracer (perfbench/tracing.py) wraps this module's
+# lowering entry points by name, the streaming one under its older name
+# below; the chunked lowering is the one streaming lowering.
+compile_stream = compile_chunked
+
 #: The governance counters ``repro_<key>_total``, by book key.
 _GOVERNANCE_COUNTERS = {
     "cancellations": "Queries ended by cancellation",
@@ -91,7 +94,7 @@ _GOVERNANCE_COUNTERS = {
     "spill_fallbacks": "Unpicklable values spill backends kept in memory",
 }
 
-#: How many lowered queries (eager + streaming together) the engine keeps;
+#: How many lowered queries (eager + chunked together) the engine keeps;
 #: the least recently used entry is evicted when the cache is full.
 _COMPILED_CACHE_LIMIT = 128
 
@@ -100,9 +103,9 @@ class _CompileCache:
     """A fingerprint-keyed LRU of lowered queries, shared by both targets.
 
     Keys are ``(target, term_fingerprint(expr))`` where ``target`` is
-    ``"eager"`` (:class:`CompiledQuery`) or ``"stream"``
-    (:class:`CompiledStream`) or ``"chunked"`` (:class:`CompiledChunkedStream`),
-    so the lowerings of one term coexist without conflation.  A hit moves
+    ``"eager"`` (:class:`CompiledQuery`) or ``"chunked"``
+    (:class:`CompiledChunkedStream`), so the two lowerings of one term
+    coexist without conflation.  A hit moves
     the entry to the most-recently-used position; insertion past ``limit``
     evicts only the least recently used entry — not the whole cache, as the
     pre-LRU memo did.
@@ -161,7 +164,6 @@ class KleisliEngine:
 
     def __init__(self, optimizer_config: Optional[OptimizerConfig] = None,
                  execution_mode: object = ExecutionMode.COMPILED,
-                 stream_chunking: bool = True,
                  plan_store: Optional[PlanStore] = None,
                  memory_pool_limit: Optional[int] = None):
         self.drivers: Dict[str, Driver] = {}
@@ -190,10 +192,6 @@ class KleisliEngine:
         #: this; ``execute`` keeps the eager plan.
         self.stream_optimizer = self._build_optimizer(streaming=True)
         self.execution_mode = ExecutionMode.coerce(execution_mode)
-        #: Whether compiled-mode ``stream`` uses the chunked (morsel-at-a-
-        #: time) lowering by default; per-call override via
-        #: ``stream(..., chunked=...)``.
-        self.stream_chunking = stream_chunking
         #: The engine's metrics registry, always on: the only place
         #: engine-wide counts are kept.  The resilience layer and the query
         #: service register their instruments here too; :meth:`health`, the
@@ -880,24 +878,17 @@ class KleisliEngine:
         """
         return self._lowered("eager", expr, compile_term, statistics)
 
-    def compiled_stream(self, expr: A.Expr,
-                        statistics: Optional[EvalStatistics] = None) -> CompiledStream:
-        """Return (and LRU-cache) the pull-based streaming lowering of ``expr``.
-
-        Shares the LRU (and the fingerprint keying) with
-        :meth:`compiled_query` under a distinct target tag, so the eager and
-        streaming forms of one term coexist and age out independently.
-        """
-        return self._lowered("stream", expr, compile_stream, statistics)
-
     def compiled_chunked(self, expr: A.Expr,
                          statistics: Optional[EvalStatistics] = None,
                          fingerprint: Optional[Tuple] = None) -> CompiledChunkedStream:
         """Return (and LRU-cache) the chunked (morsel-at-a-time) lowering.
 
-        Third target tag in the shared LRU.  Chunk sizes are *not* baked in
-        — they are read from ``EvalContext.chunk_policy`` at run time — so
-        one cached pipeline serves every policy (and every plan).
+        Shares the LRU (and the fingerprint keying) with
+        :meth:`compiled_query` under a distinct target tag, so the eager and
+        streaming forms of one term coexist and age out independently.
+        Chunk sizes are *not* baked in — they are read from
+        ``EvalContext.chunk_policy`` at run time — so one cached pipeline
+        serves every policy (and every plan).
         """
         return self._lowered("chunked", expr, compile_chunked, statistics,
                              fingerprint)
@@ -1068,7 +1059,6 @@ class KleisliEngine:
 
     def stream(self, expr: A.Expr, bindings: Optional[Dict[str, object]] = None,
                optimize: bool = True, mode: Optional[object] = None,
-               chunked: Optional[bool] = None,
                chunk_policy: Optional[ChunkPolicy] = None,
                deadline: Optional[float] = None,
                on_source_failure: Optional[str] = None,
@@ -1078,22 +1068,19 @@ class KleisliEngine:
                profile: bool = False) -> Iterator[object]:
         """Pipelined evaluation: yield elements as the pipeline produces them.
 
-        In compiled mode the (optimized) term is lowered by default to a
-        *chunked* pipeline (:meth:`compiled_chunked`): stages exchange
-        ramping chunks — the first chunk is one element, so time-to-first-
-        result matches the per-element backend — and fused per-chunk loops
-        replace per-element generator frames on the hot path.  ``chunked``
-        overrides the engine's ``stream_chunking`` default per call
-        (``False`` forces the per-element generator pipeline of
-        :meth:`compiled_stream`); ``chunk_policy`` overrides the chunk-size
-        policy, which otherwise comes from :meth:`chunk_policy` (remote
-        sources keep small chunks, local sources ramp to the full maximum).
-        Sections with no streaming lowering run eagerly inside the pipeline
-        (``EvalStatistics.stream_fallbacks``); sections with a streaming but
-        no chunk-wise lowering run per-element inside a chunked run
-        (``EvalStatistics.scalar_stages``).  This is the "laziness in
-        strategic places" of Section 4, used to get initial output to the
-        user quickly.
+        In compiled mode the (optimized) term is lowered to a *chunked*
+        pipeline (:meth:`compiled_chunked`): stages exchange ramping chunks
+        — the first chunk is one source element, so the first result does
+        not wait for a full chunk — and fused per-chunk loops replace
+        per-element generator frames on the hot path.  ``chunk_policy``
+        overrides the chunk-size policy, which otherwise comes from the
+        per-query plan (:meth:`plan_for`; remote sources keep small chunks,
+        local sources ramp to the full maximum).  Sections with no chunk-wise
+        lowering run eagerly inside the pipeline
+        (``EvalStatistics.stream_fallbacks``).  In interpreted mode the
+        outermost loop is pipelined and its body evaluated per element.
+        This is the "laziness in strategic places" of Section 4, used to get
+        initial output to the user quickly.
 
         The whole run happens inside a context-managed evaluation scope:
         closing the returned iterator early closes every cursor the pipeline
@@ -1132,8 +1119,6 @@ class KleisliEngine:
         if trace is not None:
             context.trace = trace
             collector = StageCollector()
-        if chunked is None:
-            chunked = self.stream_chunking
         fingerprint = None
         if mode is ExecutionMode.COMPILED:
             # The per-query physical plan: chunk knobs, prefetch hints.  An
@@ -1152,7 +1137,7 @@ class KleisliEngine:
             spill_manager = self._resolve_spill(
                 spill, budget, getattr(context, "physical_plan", None))
             context.spill = spill_manager
-        if mode is ExecutionMode.COMPILED and chunked:
+        if mode is ExecutionMode.COMPILED:
             if chunk_policy is not None:
                 context.chunk_policy = chunk_policy
             else:
@@ -1181,7 +1166,8 @@ class KleisliEngine:
                 context.plan_probe = ProbeTee(context.plan_probe, *sinks)
             inner = self._stream_chunked(expr, bindings, context, fingerprint)
         else:
-            inner = self._stream(expr, bindings, mode, context)
+            inner = self._stream_interpreted(
+                expr, Environment(dict(bindings or {})), context)
         if trace is not None:
             inner = self._observed_stream(inner, context, trace, collector)
         if not governed:
@@ -1260,18 +1246,6 @@ class KleisliEngine:
             "compiled" if query.fully_compiled else "compiled+fallback")
         yield from query(environment, context)
 
-    def _stream(self, expr: A.Expr, bindings: Optional[Dict[str, object]],
-                mode: ExecutionMode, context: EvalContext) -> Iterator[object]:
-        environment = Environment(dict(bindings or {}))
-        if mode is ExecutionMode.COMPILED:
-            stream_query = self.compiled_stream(expr, context.statistics)
-            context.statistics.execution_mode = (
-                "compiled" if stream_query.fully_compiled
-                else "compiled+fallback")
-            yield from stream_query(environment, context)
-            return
-        yield from self._stream_interpreted(expr, environment, context)
-
     def _stream_interpreted(self, expr: A.Expr, environment: Environment,
                             context: EvalContext) -> Iterator[object]:
         """The interpreter's pipelined path (top-level ``Ext`` only).
@@ -1300,8 +1274,6 @@ class KleisliEngine:
                 budget = context.memory_budget
                 try:
                     for item in iterator:
-                        if token is not None:
-                            token.raise_if_cancelled()
                         # Count the outer loop like the eager evaluator does,
                         # so a drained stream and execute() agree on
                         # elements_fetched (the differential harness pins it).
@@ -1313,6 +1285,11 @@ class KleisliEngine:
                                 seen.add(element)
                                 if budget is not None:
                                     budget.charge_elements(1)
+                            # One checkpoint per delivered element, like the
+                            # compiled pump's per chunk: a run whose only
+                            # remaining work yields nothing completes.
+                            if token is not None:
+                                token.raise_if_cancelled()
                             yield element
                 finally:
                     close_source(iterator, source)

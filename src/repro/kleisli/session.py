@@ -309,12 +309,13 @@ class Session:
                profile: bool = False) -> Iterator[object]:
         """Run a query with pipelined (lazy) result delivery.
 
-        In compiled mode the optimized term is lowered to a pull-based
-        generator pipeline, so *any* query shape — nested comprehensions,
-        filters, parallel remote loops, join probes — yields elements as
-        they are produced; time-to-first-result does not wait for sources
-        to drain.  Closing the returned iterator early releases every
-        cursor the pipeline opened (``engine.last_eval_statistics`` /
+        In compiled mode the optimized term is lowered to a chunked
+        pipeline (:meth:`KleisliEngine.stream`), so *any* query shape —
+        nested comprehensions, filter chains, parallel remote loops, join
+        probes — yields elements as they are produced; the first chunk is
+        one source element, so time-to-first-result does not wait for
+        sources to drain.  Closing the returned iterator early releases
+        every cursor the pipeline opened (``engine.last_eval_statistics`` /
         :attr:`last_eval_statistics` reports the run, including
         ``stream_fallbacks`` for sections that had to run eagerly).
         """

@@ -8,10 +8,10 @@ faults, compiled fallbacks, spills, cancellation).
 
 Profiles are *observation only*.  ``engine.stream(..., profile=True)``
 collects one by teeing the run's plan probe (chunked lowering) and trace
-(driver-request spans, covering the eager and per-element lowerings, whose
-compiled artifacts have no chunk boundaries to report) — the values the
-query produces are bit-identical to an unprofiled run, which the
-acceptance tests pin across all three lowerings.
+(driver-request spans, covering the eager lowering and the interpreter,
+which have no chunk boundaries to report) — the values the query produces
+are bit-identical to an unprofiled run, which the acceptance tests pin
+across every lowering.
 
 The :class:`SlowQueryLog` is a bounded ring of completed profiles above a
 latency threshold — the operator's first stop for "what was slow last
@@ -93,8 +93,8 @@ class ProbeTee:
 def aggregate_driver_spans(trace_dict: Dict[str, object]) -> Dict[str, Dict[str, float]]:
     """Fold a trace's driver-request spans into per-driver request/time totals.
 
-    This is what gives the eager and per-element lowerings their per-stage
-    timings: their compiled artifacts report no chunks, but every remote
+    This is what gives the eager lowering and the interpreter their
+    per-stage timings: they report no chunks, but every remote
     round trip still flows through ``driver_executor``, which opens one
     ``driver`` span per request.  A native batch is one ``driver-batch``
     span whose ``requests`` attribute says how many requests it carried.

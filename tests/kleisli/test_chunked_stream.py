@@ -3,8 +3,8 @@
 Element-sequence parity with ``execute`` is pinned by the differential
 harness (``test_stream_differential``); this suite covers the chunk-specific
 machinery — the :class:`~repro.core.nrc.compile.ChunkPolicy` ramp, the
-remote-source chunk cap, per-element scalar stages for nodes with no chunk
-lowering, and the ``Driver.execute_batch`` batched-fetch extension point.
+remote-source chunk cap, eager sections for nodes with no chunk lowering,
+and the ``Driver.execute_batch`` batched-fetch extension point.
 """
 
 import pytest
@@ -111,52 +111,64 @@ class TestRampingChunks:
         engine = _engine()
         expr = B.ext("x", B.singleton(B.var("x"), "list"), _scan(count=20),
                      kind="list")
-        small = list(engine.stream(expr, optimize=False, chunked=True,
+        small = list(engine.stream(expr, optimize=False,
                                    chunk_policy=ChunkPolicy(max_chunk=2)))
         hits_before = engine._compiled_queries.hits
-        large = list(engine.stream(expr, optimize=False, chunked=True,
+        large = list(engine.stream(expr, optimize=False,
                                    chunk_policy=ChunkPolicy(max_chunk=512)))
         assert small == large == list(range(20))
         assert engine._compiled_queries.hits == hits_before + 1
 
-    def test_chunked_false_forces_the_per_element_backend(self):
-        engine = _engine()
-        expr = B.ext("x", B.singleton(B.var("x"), "list"), _scan(count=3),
-                     kind="list")
-        assert list(engine.stream(expr, optimize=False, chunked=False)) == \
-            [0, 1, 2]
-        # The per-element lowering was cached under its own target tag.
-        targets = {key[0] for key in engine._compiled_queries._entries}
-        assert "stream" in targets and "chunked" not in targets
 
 
-class TestScalarStages:
+class TestEagerSections:
     def test_fold_still_streams_as_an_eager_section(self):
-        """A node with neither a chunk nor a stream lowering keeps the eager
-        section semantics inside a chunked run."""
+        """A node with no chunk lowering keeps the eager section semantics
+        inside a chunked run."""
         engine = _engine()
         plus = B.lam("a", B.lam("b", B.prim("add", B.var("a"), B.var("b"))))
         fold = B.fold(plus, B.const(0), A.Const(CList([1, 2, 3])))
-        streamed = list(engine.stream(fold, optimize=False, chunked=True))
+        streamed = list(engine.stream(fold, optimize=False))
         assert streamed == [6]
         assert engine.last_eval_statistics.stream_fallbacks >= 1
 
-    def test_scalar_stage_counter_reports(self):
-        """Drive _chunk_via_stream directly through a registered-stream-only
-        node: the blocked join with block size > 1 keeps the per-element
-        lowering inside a chunked run and counts a scalar stage."""
+    def test_unregistered_source_falls_back_to_an_eager_section(self):
+        """A collection producer with no chunk compiler (here ``Apply``) in
+        source position runs through _chunk_via_eager: named in
+        ``eager_nodes``, counted once per activation by
+        ``stream_fallbacks``, and re-chunked by the ramp downstream."""
+        engine = KleisliEngine()
+        source = B.apply(B.lam("y", B.var("y")), B.var("XS"))
+        expr = B.ext("x", B.singleton(B.prim("mul", B.var("x"), B.const(2)),
+                                      "list"), source, kind="list")
+        bindings = {"XS": CList(range(10))}
+        query = engine.compiled_chunked(expr)
+        assert query.eager_nodes == ("Apply",)
+        assert not query.fully_streamed
+        context = EvalContext()
+        sizes = [len(chunk) for chunk in
+                 query.chunks(Environment(bindings), context)]
+        assert sizes == [1, 2, 4, 3]
+        streamed = list(engine.stream(expr, bindings, optimize=False))
+        assert streamed == [2 * x for x in range(10)]
+        stats = engine.last_eval_statistics
+        assert stats.stream_fallbacks == 1
+        assert stats.scalar_stages == 0
+
+    def test_blocked_join_with_large_blocks_streams_natively(self):
+        """A blocked join with block size > 1 has its own chunk lowering:
+        no eager section, the inner side re-evaluated once per block."""
         engine = KleisliEngine()
         expr = A.Join("blocked", "o", B.var("OUTER"), "i", B.var("INNER"),
                       None, B.singleton(B.var("o"), "list"), None, None,
                       "list", 4)
         bindings = {"OUTER": CList([1, 2, 3]), "INNER": CList([10])}
         query = engine.compiled_chunked(expr)
-        assert "Join" in query.scalar_stages
-        assert not query.fully_chunked
-        streamed = list(engine.stream(expr, bindings, optimize=False,
-                                      chunked=True))
+        assert query.fully_streamed, query.eager_nodes
+        streamed = list(engine.stream(expr, bindings, optimize=False))
         assert streamed == [1, 2, 3]
-        assert engine.last_eval_statistics.scalar_stages >= 1
+        stats = engine.last_eval_statistics
+        assert (stats.stream_fallbacks, stats.joins_blocked) == (0, 1)
 
 
 class TestBatchedBodyScans:
@@ -168,7 +180,7 @@ class TestBatchedBodyScans:
         expr = B.ext("x",
                      _scan(count=2, base=B.var("x")),
                      A.Const(CList(range(7))), kind="list")
-        chunked = list(engine.stream(expr, optimize=False, chunked=True))
+        chunked = list(engine.stream(expr, optimize=False))
         chunked_stats = engine.last_eval_statistics
         # Ramp 1, 2, 4 over 7 source elements -> one batch per chunk.
         assert driver.batch_calls == [1, 2, 4]
@@ -191,7 +203,7 @@ class TestBatchedBodyScans:
                      A.Const(CList(range(30))), kind="list")
         policy = ChunkPolicy(max_chunk=1024, remote_max_chunk=4,
                              is_remote=lambda name: name == "ranges")
-        chunked = list(engine.stream(expr, optimize=False, chunked=True,
+        chunked = list(engine.stream(expr, optimize=False,
                                      chunk_policy=policy))
         assert chunked == list(range(30))
         assert max(driver.batch_calls) <= 4, driver.batch_calls
@@ -320,14 +332,14 @@ class TestSetKindChunks:
         engine = KleisliEngine()
         expr = B.ext("x", B.singleton(B.prim("mod", B.var("x"), B.const(3))),
                      A.Const(CSet(range(11))))
-        streamed = list(engine.stream(expr, optimize=False, chunked=True,
+        streamed = list(engine.stream(expr, optimize=False,
                                       chunk_policy=ChunkPolicy(max_chunk=2)))
         executed = list(iter_collection(engine.execute(expr, optimize=False)))
         assert streamed == executed == [0, 1, 2]
 
     def test_nested_set_unions_carry_one_seen_set(self):
-        """The chunked typed union unwraps operand dedup stages like the
-        per-element one: nested set unions still match eager order."""
+        """The chunked typed union unwraps operand dedup stages to share one
+        seen-set: nested set unions still match eager order."""
         engine = KleisliEngine()
         expr = A.Union(
             A.Union(
@@ -339,7 +351,7 @@ class TestSetKindChunks:
             B.ext("x", B.singleton(B.prim("mod", B.var("x"), B.const(5))),
                   A.Const(CSet(range(9)))),
             "set")
-        streamed = list(engine.stream(expr, optimize=False, chunked=True,
+        streamed = list(engine.stream(expr, optimize=False,
                                       chunk_policy=ChunkPolicy(max_chunk=2)))
         executed = list(iter_collection(engine.execute(expr, optimize=False)))
         assert streamed == executed
@@ -412,3 +424,93 @@ class TestReviewRegressions:
         # the continuing ramp reaches the 8-element result size and stays.
         assert len(sizes) <= 30, sizes
         assert sizes[-1] == 8, sizes
+
+
+class TestFilterChains:
+    """A comprehension with several conditions desugars to nested filters;
+    both lowerings recognise the whole chain, test it in order and stop at
+    the first failing condition."""
+
+    CHAIN = "{[x = p.a, y = p.b] | \\p <- DB, p.b < 50, p.a > 100}"
+
+    @staticmethod
+    def _session(rows):
+        from repro.core import types as T
+        from repro.kleisli.session import Session
+
+        session = Session()
+        # Declaring the row type skips inferring it from every record.
+        row_type = T.RecordType({label: T.INT for label in rows[0]})
+        session.bind("DB", rows, cpl_type=T.SetType(row_type), list_as="set")
+        return session
+
+    def test_two_condition_filter_emits_full_chunks(self):
+        """The chain fuses into one chunk stage: EXPLAIN ANALYZE shows the
+        pipeline emitting hundreds of rows per chunk, not one."""
+        import random
+
+        rng = random.Random(13)
+        session = self._session([
+            {"a": rng.randint(0, 10 ** 6), "b": rng.randint(0, 99)}
+            for _ in range(60000)])
+        streamed = list(session.stream(self.CHAIN, profile=True))
+        pipeline = session.engine.last_profile.stages["pipeline"]
+        assert pipeline["rows"] == len(streamed) > 0
+        assert pipeline["rows"] / pipeline["chunks"] >= 100, pipeline
+        executed = session.query(self.CHAIN).value
+        assert streamed == list(iter_collection(executed))
+        assert session.engine.last_eval_statistics.stream_fallbacks == 0
+
+    @pytest.mark.parametrize("head", ["p.b", "[i = p.id, b = p.b]"])
+    @pytest.mark.parametrize("run", ["execute", "stream"])
+    def test_chain_short_circuits_like_the_interpreter(self, run, head):
+        """``100 / p.b`` fails on ``b = 0``; the earlier ``p.b <> 0``
+        guards it, so every lowering must stop at the first failing
+        condition rather than evaluate a strict ``and``.  A record head
+        takes the chunk stage's frame form, a projection its vectorized
+        form."""
+        rows = [{"id": i, "b": b} for i, b in enumerate([0, 5, 0, 200, 20, 0, 99])]
+        query = f"{{{head} | \\p <- DB, p.b <> 0, 100 / p.b > 1}}"
+        session = self._session(rows)
+        expected = list(iter_collection(
+            session.query(query, mode="interpret").value))
+        expected_fetched = session.engine.last_eval_statistics.elements_fetched
+        if run == "execute":
+            got = list(iter_collection(session.query(query).value))
+        else:
+            got = list(session.stream(query))
+        assert got == expected
+        assert len(got) == 2
+        assert session.engine.last_eval_statistics.elements_fetched == \
+            expected_fetched
+
+
+class TestFieldOfABoundVariable:
+    def test_flatten_template_streams_without_fallbacks(self):
+        """``\\k <- kk`` iterates a field of the outer loop's record: a
+        chunk leaf like a bound variable, not an eager section."""
+        from repro.bio.publications import PUBLICATION_TYPE, build_publications
+        from repro.kleisli.session import Session
+
+        session = Session()
+        session.bind("DB", build_publications(50), cpl_type=PUBLICATION_TYPE)
+        query = ('{[title = t, keyword = k] | '
+                 '[title = \\t, year = \\y, keywd = \\kk, ...] <- DB, '
+                 'y >= 1990, \\k <- kk}')
+        streamed = list(session.stream(query))
+        stats = session.engine.last_eval_statistics
+        assert stats.stream_fallbacks == 0
+        assert stats.scalar_stages == 0
+        assert streamed == list(iter_collection(session.query(query).value))
+        assert len(streamed) > 50
+
+    def test_top_level_field_of_a_variable_still_yields_a_scalar(self):
+        """At the top level the leaf keeps the scalar tolerance: a field
+        holding a scalar streams as one element."""
+        engine = KleisliEngine()
+        expr = B.project(B.var("R"), "n")
+        from repro.core.values import Record
+
+        bindings = {"R": Record({"n": 7})}
+        assert list(engine.stream(expr, bindings, optimize=False)) == [7]
+        assert engine.last_eval_statistics.stream_fallbacks == 0

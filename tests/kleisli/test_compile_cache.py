@@ -51,18 +51,18 @@ class TestSharedCacheAcrossLoweringTargets:
         term = B.ext("x", B.singleton(B.var("x"), "list"), B.var("XS"),
                      kind="list")
         eager = engine.compiled_query(term)
-        streamed = engine.compiled_stream(term)
+        streamed = engine.compiled_chunked(term)
         assert eager is not streamed
         assert engine.compiled_query(term) is eager
-        assert engine.compiled_stream(term) is streamed
+        assert engine.compiled_chunked(term) is streamed
         assert len(engine._compiled_queries) == 2  # one per target
 
     def test_stream_lowering_is_memoized_across_calls(self):
         engine = KleisliEngine()
         term = B.ext("x", B.singleton(B.var("x"), "list"), B.var("XS"),
                      kind="list")
-        first = engine.compiled_stream(term)
-        assert engine.compiled_stream(term) is first
+        first = engine.compiled_chunked(term)
+        assert engine.compiled_chunked(term) is first
 
 
 class TestStatisticsCounters:
@@ -145,7 +145,7 @@ class TestThreadSafety:
         lock = threading.Lock()
 
         def worker():
-            query = engine.compiled_stream(term)
+            query = engine.compiled_chunked(term)
             with lock:
                 seen.append(query)
 

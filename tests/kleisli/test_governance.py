@@ -5,7 +5,7 @@ What PR 9's tentpole guarantees, pinned:
 * **Cooperative cancellation** — a cancelled token raises a *typed*
   :class:`~repro.core.errors.QueryCancelledError` at every checkpoint class
   (eager loop heads, per-element pulls, chunk boundaries,
-  pre-driver-dispatch), in all three lowerings and the interpreter, and the
+  pre-driver-dispatch), in both lowerings and the interpreter, and the
   run's ``EvalScope`` releases every cursor on the way out.
 * **Hierarchical memory budgets** — charges walk query → session → engine
   pool with rollback on rejection; an over-budget run raises a typed
@@ -217,14 +217,13 @@ def test_precancelled_execute_raises_before_any_dispatch(mode):
     assert engine.governance()["cancellations"] == 1
 
 
-@pytest.mark.parametrize("chunked", [True, False])
 @pytest.mark.parametrize("mode", [ExecutionMode.COMPILED,
                                   ExecutionMode.INTERPRET])
-def test_stream_cancel_mid_drain_releases_cursors(mode, chunked):
+def test_stream_cancel_mid_drain_releases_cursors(mode):
     engine = _engine()
     token = CancellationToken()
     stream = engine.stream(_comprehension(count=200), mode=mode,
-                           chunked=chunked, cancellation=token)
+                           cancellation=token)
     got = []
     with pytest.raises(QueryCancelledError):
         for value in stream:
@@ -321,13 +320,12 @@ def test_budget_settles_when_stream_abandoned_mid_drain():
 
 # -- zero-governance contract -------------------------------------------------
 
-@pytest.mark.parametrize("chunked", [True, False])
-def test_ungoverned_runs_keep_books_at_zero(chunked):
+def test_ungoverned_runs_keep_books_at_zero():
     engine = _engine()
     expr = _comprehension(count=50)
     eager = list(iter_collection(engine.execute(expr)))
     eager_fetched = engine.last_eval_statistics.elements_fetched
-    streamed = list(engine.stream(expr, chunked=chunked))
+    streamed = list(engine.stream(expr))
     assert streamed == eager
     assert engine.last_eval_statistics.elements_fetched == eager_fetched
     books = engine.governance()

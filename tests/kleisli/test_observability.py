@@ -4,7 +4,7 @@ The PR 10 acceptance criteria, as tests:
 
 * **Federated EXPLAIN ANALYZE** — a profiled query over a fault-injecting
   driver shows per-stage timings, actual vs. planner-estimated rows, and
-  retry/spill annotations, in all three lowerings, while producing values
+  retry/spill annotations, in both lowerings, while producing values
   bit-identical to the unprofiled run.
 * **Zero-recorder contract** — no hub + ``profile=False`` leaves every
   observability field ``None`` and reproduces the unobserved run exactly
@@ -105,14 +105,15 @@ def _federated_engine():
 def _run(engine, expr, lowering, **kwargs):
     if lowering == "eager":
         return sorted(iter_collection(engine.execute(expr, **kwargs)))
-    chunked = lowering == "chunked"
-    return sorted(engine.stream(expr, chunked=chunked, **kwargs))
+    if lowering == "interpreted-stream":
+        return sorted(engine.stream(expr, mode="interpret", **kwargs))
+    return sorted(engine.stream(expr, **kwargs))
 
 
-LOWERINGS = ["eager", "per-element", "chunked"]
+LOWERINGS = ["eager", "chunked"]
 
 
-# -- EXPLAIN ANALYZE across the three lowerings -------------------------------
+# -- EXPLAIN ANALYZE across both lowerings ------------------------------------
 
 @pytest.mark.parametrize("lowering", LOWERINGS)
 def test_profiled_federated_run_is_bit_identical_and_annotated(lowering):
@@ -139,7 +140,7 @@ def test_profiled_federated_run_is_bit_identical_and_annotated(lowering):
 
 def test_chunked_profile_reports_per_stage_timings():
     engine = _plain_engine()
-    list(engine.stream(_doubling(), chunked=True, profile=True))
+    list(engine.stream(_doubling(), profile=True))
     profile = engine.last_profile
     stage = profile.stages["pipeline"]
     assert stage["rows"] == 50 and stage["chunks"] >= 1
@@ -204,7 +205,7 @@ def test_zero_recorder_engine_has_no_observability_state():
     assert engine.health()["observability"] == {"attached": False}
 
 
-@pytest.mark.parametrize("lowering", LOWERINGS)
+@pytest.mark.parametrize("lowering", LOWERINGS + ["interpreted-stream"])
 def test_attached_hub_changes_observations_never_results(lowering):
     expr = _doubling(driver="Faulty")
     bare = _federated_engine()
@@ -227,7 +228,7 @@ def test_attached_hub_changes_observations_never_results(lowering):
 
 def test_registry_counts_retries_and_failures_per_driver():
     engine = _federated_engine()
-    list(engine.stream(_doubling(driver="Faulty"), chunked=True))
+    list(engine.stream(_doubling(driver="Faulty")))
     metrics = engine.metrics
     assert metrics.get("repro_retries_total").values() == {("Faulty",): 1}
     assert metrics.get("repro_driver_failures_total").values() \
@@ -248,7 +249,7 @@ def test_native_batches_count_every_request_once():
     expr = B.ext("x", A.Scan("batchy", {"table": "t"},
                              args={"count": B.var("x")}, kind="bag"),
                  A.Const(CList(range(7))), kind="bag")
-    list(engine.stream(expr, optimize=False, chunked=True, profile=True))
+    list(engine.stream(expr, optimize=False, profile=True))
     assert driver.batch_calls == [1, 2, 4]
     requests = driver.request_count - before
     assert requests == 7
@@ -324,7 +325,7 @@ def test_zero_samples_reproduce_the_nominal_constant_bit_for_bit():
     assert isinstance(estimator, RowWidthEstimator)
     assert estimator.row_bytes() == NOMINAL_ROW_BYTES
     # stays pinned across unspilled runs: nothing feeds the estimator
-    list(engine.stream(_doubling(), chunked=True))
+    list(engine.stream(_doubling()))
     engine.execute(_doubling())
     assert estimator.snapshot()["sampled_rows"] == 0
     assert estimator.row_bytes() == NOMINAL_ROW_BYTES

@@ -46,7 +46,7 @@ def _register_statistics(engine):
 def test_planned_matches_fixed_knobs_with_zero_statistics(label, expr, bindings):
     planned_engine = _planned_engine()
     planned = list(planned_engine.stream(expr, bindings, optimize=False,
-                                         mode="compiled", chunked=True))
+                                         mode="compiled"))
     planned_stats = planned_engine.last_eval_statistics
 
     # Bit-for-bit: with nothing registered and nothing observed, the chosen
@@ -57,7 +57,7 @@ def test_planned_matches_fixed_knobs_with_zero_statistics(label, expr, bindings)
 
     fixed_engine = _fixed_engine()
     fixed = list(fixed_engine.stream(expr, bindings, optimize=False,
-                                     mode="compiled", chunked=True))
+                                     mode="compiled"))
     fixed_stats = fixed_engine.last_eval_statistics
 
     assert planned == fixed, label
@@ -72,13 +72,13 @@ def test_planned_matches_fixed_knobs_with_statistics(label, expr, bindings):
     planned_engine = _planned_engine()
     _register_statistics(planned_engine)
     planned = list(planned_engine.stream(expr, bindings, optimize=False,
-                                         mode="compiled", chunked=True))
+                                         mode="compiled"))
     planned_stats = planned_engine.last_eval_statistics
 
     fixed_engine = _fixed_engine()
     _register_statistics(fixed_engine)
     fixed = list(fixed_engine.stream(expr, bindings, optimize=False,
-                                     mode="compiled", chunked=True))
+                                     mode="compiled"))
     fixed_stats = fixed_engine.last_eval_statistics
 
     assert planned == fixed, label
@@ -102,8 +102,7 @@ def test_shapes_with_scans_plan_non_default_once_informed():
     for label, expr, bindings in _shapes():
         engine = _planned_engine()
         _register_statistics(engine)
-        list(engine.stream(expr, bindings, optimize=False, mode="compiled",
-                           chunked=True))
+        list(engine.stream(expr, bindings, optimize=False, mode="compiled"))
         if not engine.last_plan.is_default:
             informed += 1
     assert informed >= 5  # every scan-bearing shape re-plans
@@ -115,10 +114,10 @@ def test_feedback_replanning_stays_value_correct_across_runs():
     for label, expr, bindings in _shapes():
         engine = _planned_engine()
         first = list(engine.stream(expr, bindings, optimize=False,
-                                   mode="compiled", chunked=True))
+                                   mode="compiled"))
         first_stats = engine.last_eval_statistics
         second = list(engine.stream(expr, bindings, optimize=False,
-                                    mode="compiled", chunked=True))
+                                    mode="compiled"))
         second_stats = engine.last_eval_statistics
         assert first == second, label
         assert first_stats.elements_fetched == \

@@ -3,8 +3,8 @@
 The acceptance contract this file pins:
 
 * transient faults (pre-open AND mid-stream) recover to **bit-identical**
-  results — value and ``elements_fetched`` — across all three lowerings,
-  with zero cursor leaks;
+  results — value and ``elements_fetched`` — across both lowerings and
+  the interpreted stream, with zero cursor leaks;
 * terminal faults are never retried; retry budgets are bounded;
 * the circuit breaker trips after consecutive failures, fails fast while
   open, feeds planner availability, and re-closes through a half-open probe;
@@ -81,16 +81,16 @@ def _drain(engine, term, lowering, **kwargs):
     if lowering == "eager":
         value = engine.execute(term, optimize=False, **kwargs)
         values = list(value)
-    elif lowering == "stream":
-        values = list(engine.stream(term, optimize=False, chunked=False,
+    elif lowering == "interpreted-stream":
+        values = list(engine.stream(term, optimize=False, mode="interpret",
                                     **kwargs))
     else:
-        values = list(engine.stream(term, optimize=False, chunked=True,
+        values = list(engine.stream(term, optimize=False,
                                     **kwargs))
     return values, engine.last_eval_statistics.elements_fetched
 
 
-LOWERINGS = ["eager", "stream", "chunked"]
+LOWERINGS = ["eager", "chunked", "interpreted-stream"]
 
 
 # ---------------------------------------------------------------------------

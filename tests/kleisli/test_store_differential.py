@@ -68,7 +68,7 @@ def test_every_store_condition_plans_bit_for_bit_default(label, expr, bindings,
                                                          tmp_path):
     baseline_engine = _engine()
     baseline = list(baseline_engine.stream(expr, bindings, optimize=False,
-                                           mode="compiled", chunked=True))
+                                           mode="compiled"))
     baseline_stats = baseline_engine.last_eval_statistics
     baseline_plan = baseline_engine.last_plan
 
@@ -76,7 +76,7 @@ def test_every_store_condition_plans_bit_for_bit_default(label, expr, bindings,
         store = factory(tmp_path)
         engine = _engine(store)
         values = list(engine.stream(expr, bindings, optimize=False,
-                                    mode="compiled", chunked=True))
+                                    mode="compiled"))
         stats = engine.last_eval_statistics
         tag = f"{label} / {store_label}"
         # Bit-for-bit: values, accounting, and the plan itself.
@@ -106,14 +106,12 @@ def test_warm_store_changes_plans_only_when_it_has_knowledge(tmp_path):
     directory = tmp_path / "warm"
     for label, expr, bindings in _shapes()[:3]:
         first = _engine(_store(directory))
-        list(first.stream(expr, bindings, optimize=False, mode="compiled",
-                          chunked=True))
+        list(first.stream(expr, bindings, optimize=False, mode="compiled"))
         first.flush_plan_store()
         first.plan_store.close()
 
     warm = _engine(_store(directory))
     label, expr, bindings = _shapes()[0]
-    list(warm.stream(expr, bindings, optimize=False, mode="compiled",
-                     chunked=True))
+    list(warm.stream(expr, bindings, optimize=False, mode="compiled"))
     assert warm.last_plan.source == "feedback"
     warm.plan_store.close()

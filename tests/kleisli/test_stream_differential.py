@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.nrc import ast as A
 from repro.core.nrc import builder as B
+from repro.core.nrc.compile import ChunkPolicy
 from repro.core.optimizer.joins import make_join_rule_set
 from repro.core.optimizer.parallel import ParallelExt
 from repro.core.values import CList, CSet, Record, iter_collection
@@ -282,7 +283,7 @@ def test_chunked_stream_matches_execute(mode, label, expr, bindings):
     value- and accounting-invisible."""
     engine = _engine()
     chunked = list(engine.stream(expr, bindings, optimize=False,
-                                 mode="compiled", chunked=True))
+                                 mode="compiled"))
     chunked_stats = engine.last_eval_statistics
 
     engine2 = _engine()
@@ -299,25 +300,28 @@ def test_chunked_stream_matches_execute(mode, label, expr, bindings):
 
 @pytest.mark.parametrize("label,expr,bindings",
                          _shapes(), ids=lambda v: v if isinstance(v, str) else "")
-def test_chunked_stream_matches_per_element_stream(label, expr, bindings):
-    """Chunked and per-element compiled streams: one element sequence and
-    one drained-run accounting."""
+def test_chunked_stream_matches_one_element_chunks(label, expr, bindings):
+    """Ramped chunks against chunks held at one element (every chunk
+    boundary falls between two elements, as in an element-at-a-time
+    pipeline): one element sequence and one drained-run accounting."""
     engine = _engine()
-    chunked = list(engine.stream(expr, bindings, optimize=False,
-                                 mode="compiled", chunked=True))
-    chunked_stats = engine.last_eval_statistics
+    ramped = list(engine.stream(expr, bindings, optimize=False,
+                                mode="compiled"))
+    ramped_stats = engine.last_eval_statistics
     engine2 = _engine()
-    element = list(engine2.stream(expr, bindings, optimize=False,
-                                  mode="compiled", chunked=False))
-    element_stats = engine2.last_eval_statistics
-    assert chunked == element, label
-    assert chunked_stats.elements_fetched == element_stats.elements_fetched, label
+    single = list(engine2.stream(expr, bindings, optimize=False,
+                                 mode="compiled",
+                                 chunk_policy=ChunkPolicy(max_chunk=1,
+                                                          remote_max_chunk=1)))
+    single_stats = engine2.last_eval_statistics
+    assert ramped == single, label
+    assert ramped_stats.elements_fetched == single_stats.elements_fetched, label
 
 
 def test_chunked_pipelines_without_scalar_stages_on_optimizer_shapes():
     """Every optimizer-producible pipelined shape has a native chunk-wise
-    lowering: no eager sections (stream_fallbacks) and no per-element
-    sections (scalar_stages) inside a chunked run."""
+    lowering: no eager sections (stream_fallbacks) inside a chunked run,
+    and no run counts a per-element section (scalar_stages)."""
     records = CList([Record({"id": i, "tag": f"r{i}"}) for i in range(6)])
     refs = CList([Record({"ref": i % 3, "weight": i * 10}) for i in range(9)])
     condition = B.eq(B.project(B.var("o"), "id"), B.project(B.var("i"), "ref"))
@@ -332,6 +336,9 @@ def test_chunked_pipelines_without_scalar_stages_on_optimizer_shapes():
         A.Join("blocked", "o", B.var("OUTER"), "i", B.var("INNER"),
                condition, B.singleton(B.project(B.var("o"), "tag"), "list"),
                None, None, "list", 1),
+        A.Join("blocked", "o", B.var("OUTER"), "i", B.var("INNER"),
+               condition, B.singleton(B.project(B.var("o"), "tag"), "list"),
+               None, None, "list", 4),
         ParallelExt("x", B.singleton(B.prim("mul", B.var("x"), B.const(2)), "list"),
                     _scan(count=7), kind="list", max_workers=3),
     ]
@@ -339,8 +346,8 @@ def test_chunked_pipelines_without_scalar_stages_on_optimizer_shapes():
     for expr in shapes:
         engine = _engine()
         query = engine.compiled_chunked(expr)
-        assert query.fully_chunked, (query.scalar_stages, query.eager_nodes)
-        list(engine.stream(expr, bindings, optimize=False, chunked=True))
+        assert query.fully_streamed, query.eager_nodes
+        list(engine.stream(expr, bindings, optimize=False))
         stats = engine.last_eval_statistics
         assert stats.stream_fallbacks == 0, stats.as_dict()
         assert stats.scalar_stages == 0, stats.as_dict()
@@ -502,7 +509,7 @@ def test_eager_sections_are_surfaced_in_statistics():
     assert sorted(streamed) == [1, 2, 3]
     stats = engine.last_eval_statistics
     assert stats.stream_fallbacks >= 1
-    query = engine.compiled_stream(expr)
+    query = engine.compiled_chunked(expr)
     assert "Union" in query.eager_nodes
     assert query.fully_compiled  # eager section != interpreter fallback
 
@@ -517,7 +524,7 @@ def test_typed_union_pipelines_without_fallback():
         B.ext("x", B.singleton(B.prim("add", B.var("x"), B.const(50)), "list"),
               _scan(count=5), kind="list"),
         "list")
-    query = engine.compiled_stream(expr)
+    query = engine.compiled_chunked(expr)
     assert query.fully_streamed, query.eager_nodes
     stream = engine.stream(expr, optimize=False, mode="compiled")
     assert next(stream) == 0
@@ -534,7 +541,7 @@ def test_unproven_union_still_reports_an_eager_section():
     expr = A.Union(
         B.ext("x", B.singleton(B.var("x"), "list"), _scan(count=3), kind="list"),
         B.var("XS"), "list")
-    query = engine.compiled_stream(expr)
+    query = engine.compiled_chunked(expr)
     assert not query.fully_streamed
     assert "Union" in query.eager_nodes
     streamed = list(engine.stream(expr, {"XS": CList([7])},

@@ -219,14 +219,14 @@ class TestBodyCursorRelease:
         """The scope must track only *live* cursors: a drained body-level
         cursor unregisters itself, so a long stream does not accumulate one
         retained (buffer-holding) cursor per outer element (regression)."""
-        from repro.core.nrc.compile import compile_stream
+        from repro.core.nrc.compile import compile_chunked
         from repro.core.nrc.eval import EvalContext, Environment, Evaluator
 
         engine = KleisliEngine()
         engine.register_driver(BiDriver(outer_total=40, inner_total=5))
         context = EvalContext(driver_executor=engine.driver_executor)
         if mode is ExecutionMode.COMPILED:
-            iterator = compile_stream(_nested_scan_comprehension())(None, context)
+            iterator = compile_chunked(_nested_scan_comprehension())(None, context)
         else:
             expr = _nested_scan_comprehension()
 
@@ -324,7 +324,7 @@ class TestChunkedEarlyClose:
         engine = KleisliEngine()
         driver = engine.register_driver(CursorDriver(total=100))
         stream = engine.stream(_scan_comprehension(), optimize=False,
-                               mode="compiled", chunked=True)
+                               mode="compiled")
         # Consume 2 elements: the ramp has pulled chunks [0] and [1, 2], so
         # element 2 is buffered in the current chunk but not yet consumed.
         assert next(stream) == 0
@@ -343,7 +343,7 @@ class TestChunkedEarlyClose:
         engine = KleisliEngine()
         driver = engine.register_driver(BiDriver(outer_total=50, inner_total=50))
         stream = engine.stream(_nested_scan_comprehension(), optimize=False,
-                               mode="compiled", chunked=True)
+                               mode="compiled")
         for _ in range(3):
             next(stream)
         assert driver.open_cursors["inner"] == 1
@@ -357,7 +357,7 @@ class TestChunkedEarlyClose:
         engine = KleisliEngine()
         driver = engine.register_driver(CursorDriver(total=100))
         stream = engine.stream(_scan_comprehension(), optimize=False,
-                               mode="compiled", chunked=True)
+                               mode="compiled")
         for _ in range(3):
             next(stream)
         stream.close()
@@ -375,8 +375,7 @@ class TestChunkedEarlyClose:
                            B.singleton(B.var("x")),
                            B.singleton(B.project(B.var("x"), "boom"))),
             A.Scan("cursors", {"table": "t"}))
-        stream = engine.stream(expr, optimize=False, mode="compiled",
-                               chunked=True)
+        stream = engine.stream(expr, optimize=False, mode="compiled")
         with pytest.raises(EvaluationError):
             for _ in range(10):
                 next(stream)

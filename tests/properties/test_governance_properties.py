@@ -11,8 +11,8 @@ points rather than the hand-picked offsets of the example tests:
   :class:`~repro.core.errors.QueryCancelledError`; it never returns a
   truncated result silently.
 * **Prefix property** — whatever a cancelled stream yielded before the
-  typed error is a *prefix* of the ungoverned element sequence, in all
-  three lowerings (eager, per-element, chunked) and both execution modes.
+  typed error is a *prefix* of the ungoverned element sequence, in both
+  lowerings (eager, chunked) and both execution modes.
 * **Books balance** — each cancelled run counts exactly one cancellation.
 """
 
@@ -69,11 +69,10 @@ def _shapes():
 SHAPES = _shapes()
 
 LOWERINGS = [
-    ("eager-compiled", ExecutionMode.COMPILED, None),
-    ("eager-interpreted", ExecutionMode.INTERPRET, None),
-    ("per-element", ExecutionMode.COMPILED, False),
+    ("eager-compiled", ExecutionMode.COMPILED, False),
+    ("eager-interpreted", ExecutionMode.INTERPRET, False),
     ("chunked", ExecutionMode.COMPILED, True),
-    ("interpreted-stream", ExecutionMode.INTERPRET, False),
+    ("interpreted-stream", ExecutionMode.INTERPRET, True),
 ]
 
 
@@ -87,12 +86,12 @@ _BASELINES = {}
 
 
 def _baseline(shape_index):
-    """The ungoverned element sequence (per-element stream is the
+    """The ungoverned element sequence (the interpreted stream is the
     reference order for every lowering)."""
     if shape_index not in _BASELINES:
         engine = _engine()
         _BASELINES[shape_index] = list(
-            engine.stream(SHAPES[shape_index][1], chunked=False))
+            engine.stream(SHAPES[shape_index][1], mode=ExecutionMode.INTERPRET))
     return _BASELINES[shape_index]
 
 
@@ -105,14 +104,14 @@ def _baseline(shape_index):
 def test_cancellation_never_leaks_cursors_or_yields_partials(
         shape_index, lowering, cancel_at):
     label, expr = SHAPES[shape_index]
-    _, mode, chunked = LOWERINGS[lowering]
+    _, mode, streamed = LOWERINGS[lowering]
     expected = _baseline(shape_index)
     engine = _engine()
     token = CancellationToken()
     got = []
     error = None
 
-    if chunked is None:
+    if not streamed:
         # Eager: cancellation before the run (offset 0) or not at all —
         # there is no mid-drain for execute(); offset > 0 degenerates to
         # a completed run, pinning cancel-after-completion is a no-op.
@@ -124,8 +123,7 @@ def test_cancellation_never_leaks_cursors_or_yields_partials(
         except QueryCancelledError as caught:
             error = caught
     else:
-        stream = engine.stream(expr, mode=mode, chunked=chunked,
-                               cancellation=token)
+        stream = engine.stream(expr, mode=mode, cancellation=token)
         if cancel_at == 0:
             token.cancel("property: before first pull")
         try:
@@ -150,7 +148,7 @@ def test_cancellation_never_leaks_cursors_or_yields_partials(
         # sequence (cooperative checkpoints may let buffered chunk
         # elements flush, but never reorder or fabricate elements).
         assert got == expected[:len(got)]
-        assert len(got) < len(expected) or chunked is None
+        assert len(got) < len(expected) or not streamed
         assert engine.governance()["cancellations"] == 1
 
 
@@ -163,16 +161,15 @@ def test_ungoverned_token_free_runs_are_unaffected(shape_index, lowering):
     """Zero-governance pin, property-shaped: a live (never cancelled) token
     changes nothing — values match the ungoverned baseline exactly."""
     label, expr = SHAPES[shape_index]
-    _, mode, chunked = LOWERINGS[lowering]
+    _, mode, streamed = LOWERINGS[lowering]
     expected = _baseline(shape_index)
     engine = _engine()
     token = CancellationToken()
-    if chunked is None:
+    if not streamed:
         got = list(iter_collection(
             engine.execute(expr, mode=mode, cancellation=token)))
     else:
-        got = list(engine.stream(expr, mode=mode, chunked=chunked,
-                                 cancellation=token))
+        got = list(engine.stream(expr, mode=mode, cancellation=token))
     assert got == expected
     assert EvalScope.live_count() == 0
     books = engine.governance()

@@ -3,8 +3,8 @@
 The contract the whole PR rests on, stated as a property: **for any fault
 schedule that eventually lets every request through, a run under the
 resilience layer is bit-identical to the fault-free run** — same values,
-same order, same ``elements_fetched`` accounting — across all three
-lowerings (eager, per-element streamed, chunked streamed).  Faults may be
+same order, same ``elements_fetched`` accounting — across both lowerings
+(eager, chunked streamed).  Faults may be
 dead sources (pre-open), mid-stream cursor deaths at arbitrary depths, or
 any mix; recovery must also never leak a driver cursor.
 
@@ -41,7 +41,7 @@ if _KLEISLI_TESTS not in sys.path:
 
 from fault_drivers import FaultInjectingDriver  # noqa: E402
 
-LOWERINGS = ["eager", "stream", "chunked"]
+LOWERINGS = ["eager", "chunked"]
 
 # A schedule: disjoint pre-open / mid-stream fault ordinals plus a death
 # depth (>= 1, so every recovery makes progress) for each mid-stream one.
@@ -70,8 +70,7 @@ def _run(engine, term, lowering):
     if lowering == "eager":
         values = list(engine.execute(term, optimize=False))
     else:
-        values = list(engine.stream(term, optimize=False,
-                                    chunked=(lowering == "chunked")))
+        values = list(engine.stream(term, optimize=False))
     return values, engine.last_eval_statistics.elements_fetched
 
 
@@ -119,5 +118,5 @@ class TestRecoveryEquivalence:
         for lowering in LOWERINGS:
             engine, _driver = _engine(schedule, resilient=True)
             runs.append(_run(engine, term, lowering))
-        assert runs[0] == runs[1] == runs[2], (
+        assert runs[0] == runs[1], (
             f"schedule {schedule!r}: lowerings disagree: {runs!r}")

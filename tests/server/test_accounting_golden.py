@@ -88,7 +88,7 @@ def _engine():
 def _engine_script(engine):
     faulty = _scan("Faulty")
     assert list(engine.execute(faulty, optimize=False)) == list(range(8))
-    assert list(engine.stream(faulty, optimize=False, chunked=True)) \
+    assert list(engine.stream(faulty, optimize=False)) \
         == list(range(8))
     assert list(engine.execute(faulty, optimize=False)) == list(range(8))
     for _ in range(2):
